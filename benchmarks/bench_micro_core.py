@@ -77,6 +77,25 @@ def test_protection_table_bit_access(benchmark):
     benchmark(run)
 
 
+def test_eager_mmap_throughput(benchmark):
+    """Per-cell set-up: eager mmap of a Fig. 4 workload's footprint (page
+    table built in simulated memory) on a fresh paper-sized System."""
+    from repro.sim.config import SystemConfig
+    from repro.sim.system import System
+    from repro.workloads.registry import get_workload
+
+    pages = get_workload("backprop").footprint_pages
+
+    def fresh():
+        system = System(SystemConfig())
+        return (system.kernel, system.new_process("bench")), {}
+
+    def run(kernel, proc):
+        kernel.mmap(proc, pages, Perm.RW)
+
+    benchmark.pedantic(run, setup=fresh, rounds=10, iterations=1)
+
+
 def test_event_kernel_dispatch(benchmark):
     def run():
         engine = Engine()

@@ -10,11 +10,16 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["Perm", "PERM_NONE", "PERM_R", "PERM_W", "PERM_RW"]
+__all__ = ["Perm", "PERM_NONE", "PERM_R", "PERM_W", "PERM_RW", "PERM_BY_VALUE"]
 
 
 class Perm(enum.IntFlag):
-    """Per-page permission bits, 2 bits per page as in the Protection Table."""
+    """Per-page permission bits, 2 bits per page as in the Protection Table.
+
+    The hot predicates test the raw ``_value_`` int and results come from
+    :data:`PERM_BY_VALUE`: IntFlag's ``&``/``|`` and ``Perm(x)`` each go
+    through the enum constructor, which costs over ten times a plain int operation.
+    """
 
     NONE = 0
     R = 1
@@ -23,19 +28,19 @@ class Perm(enum.IntFlag):
 
     @property
     def readable(self) -> bool:
-        return bool(self & Perm.R)
+        return self._value_ & 1 != 0
 
     @property
     def writable(self) -> bool:
-        return bool(self & Perm.W)
+        return self._value_ & 2 != 0
 
     def allows(self, write: bool) -> bool:
         """Does this permission allow a read (write=False) or write access?"""
-        return self.writable if write else self.readable
+        return self._value_ & (2 if write else 1) != 0
 
     def union(self, other: "Perm") -> "Perm":
         """Union of permissions — the multiprocess-accelerator rule (§3.3)."""
-        return Perm(self | other)
+        return PERM_BY_VALUE[self._value_ | other._value_]
 
     def describe(self) -> str:
         return ("R" if self.readable else "-") + ("W" if self.writable else "-")
@@ -45,3 +50,7 @@ PERM_NONE = Perm.NONE
 PERM_R = Perm.R
 PERM_W = Perm.W
 PERM_RW = Perm.RW
+
+#: The four permission values indexed by their 2-bit field: ``Perm(x)``
+#: without the enum-constructor call.
+PERM_BY_VALUE = (Perm.NONE, Perm.R, Perm.W, Perm.RW)

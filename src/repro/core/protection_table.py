@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.core.permissions import Perm
+from repro.core.permissions import PERM_BY_VALUE, Perm
 from repro.errors import ConfigurationError
 from repro.mem.address import BLOCK_SIZE, PAGE_SHIFT, PAGE_SIZE, align_up
 from repro.mem.phys_memory import PhysicalMemory
@@ -104,17 +104,15 @@ class ProtectionTable:
         if not self.covers(ppn):
             return Perm.NONE
         addr, shift = self._field_addr(ppn)
-        byte = self.phys.read(addr, 1)[0]
-        return Perm((byte >> shift) & 0x3)
+        return PERM_BY_VALUE[(self.phys.read_u8(addr) >> shift) & 0x3]
 
     def set(self, ppn: int, perms: Perm) -> None:
         """Overwrite the permission field for one physical page."""
         if not self.covers(ppn):
             raise ConfigurationError(f"ppn {ppn:#x} outside table bounds")
         addr, shift = self._field_addr(ppn)
-        byte = self.phys.read(addr, 1)[0]
-        byte = (byte & ~(0x3 << shift)) | (int(perms) << shift)
-        self.phys.write(addr, bytes([byte]))
+        byte = self.phys.read_u8(addr)
+        self.phys.write_u8(addr, (byte & ~(0x3 << shift)) | (int(perms) << shift))
         self.version += 1
 
     def grant(self, ppn: int, perms: Perm) -> bool:

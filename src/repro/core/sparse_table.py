@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional, Tuple
 
-from repro.core.permissions import Perm
+from repro.core.permissions import PERM_BY_VALUE, Perm
 from repro.errors import ConfigurationError
 from repro.mem.address import PAGE_SHIFT, PAGE_SIZE
 from repro.mem.phys_memory import PhysicalMemory
@@ -117,8 +117,8 @@ class SparseProtectionTable:
         chunk_ppn = self._chunk_ppn(chunk)
         if chunk_ppn is None:
             return Perm.NONE  # unallocated chunk: deny by construction
-        byte = self.phys.read((chunk_ppn << PAGE_SHIFT) + byte_off, 1)[0]
-        return Perm((byte >> shift) & 0x3)
+        byte = self.phys.read_u8((chunk_ppn << PAGE_SHIFT) + byte_off)
+        return PERM_BY_VALUE[(byte >> shift) & 0x3]
 
     def set(self, ppn: int, perms: Perm) -> None:
         if not self.covers(ppn):
@@ -128,9 +128,8 @@ class SparseProtectionTable:
             return  # clearing an unallocated chunk allocates nothing
         chunk_ppn = self._ensure_chunk(chunk)
         addr = (chunk_ppn << PAGE_SHIFT) + byte_off
-        byte = self.phys.read(addr, 1)[0]
-        byte = (byte & ~(0x3 << shift)) | (int(perms) << shift)
-        self.phys.write(addr, bytes([byte]))
+        byte = self.phys.read_u8(addr)
+        self.phys.write_u8(addr, (byte & ~(0x3 << shift)) | (int(perms) << shift))
 
     def grant(self, ppn: int, perms: Perm) -> bool:
         old = self.get(ppn)

@@ -9,12 +9,18 @@ simulated address space costs only what is touched.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, Iterator, Tuple
 
 from repro.errors import UnmappedAddressError
 from repro.mem.address import PAGE_SHIFT, PAGE_SIZE, ppn_of
 
 __all__ = ["PhysicalMemory"]
+
+_U64 = struct.Struct("<Q")
+_U64_MASK = 2**64 - 1
+# Highest in-frame offset at which a u64 does not straddle into the next frame.
+_LAST_U64_OFFSET = PAGE_SIZE - 8
 
 
 class PhysicalMemory:
@@ -86,17 +92,53 @@ class PhysicalMemory:
             addr += chunk
 
     # -- word helpers ---------------------------------------------------------
+    #
+    # Page-table entries and Protection Table fields are read one word or
+    # byte at a time. When the access lies inside one frame these index the
+    # frame's backing directly; a never-written frame reads as 0 without
+    # allocating backing. Anything else (straddling frames, out of bounds)
+    # takes the generic path, which raises the same errors.
 
     def read_u64(self, paddr: int) -> int:
+        if 0 <= paddr <= self.size - 8 and paddr & (PAGE_SIZE - 1) <= _LAST_U64_OFFSET:
+            backing = self._frames.get(paddr >> PAGE_SHIFT)
+            if backing is None:
+                return 0
+            return _U64.unpack_from(backing, paddr & (PAGE_SIZE - 1))[0]
         return int.from_bytes(self.read(paddr, 8), "little")
 
     def write_u64(self, paddr: int, value: int) -> None:
-        self.write(paddr, (value & (2**64 - 1)).to_bytes(8, "little"))
+        if 0 <= paddr <= self.size - 8 and paddr & (PAGE_SIZE - 1) <= _LAST_U64_OFFSET:
+            frame = paddr >> PAGE_SHIFT
+            backing = self._frames.get(frame)
+            if backing is None:
+                backing = self._frames[frame] = bytearray(PAGE_SIZE)
+            _U64.pack_into(backing, paddr & (PAGE_SIZE - 1), value & _U64_MASK)
+        else:
+            self.write(paddr, (value & _U64_MASK).to_bytes(8, "little"))
+
+    def read_u8(self, paddr: int) -> int:
+        if not 0 <= paddr < self.size:
+            self._check(paddr, 1)
+        backing = self._frames.get(paddr >> PAGE_SHIFT)
+        return 0 if backing is None else backing[paddr & (PAGE_SIZE - 1)]
+
+    def write_u8(self, paddr: int, value: int) -> None:
+        if not 0 <= paddr < self.size:
+            self._check(paddr, 1)
+        frame = paddr >> PAGE_SHIFT
+        backing = self._frames.get(frame)
+        if backing is None:
+            backing = self._frames[frame] = bytearray(PAGE_SIZE)
+        backing[paddr & (PAGE_SIZE - 1)] = value
 
     # -- frame management -------------------------------------------------------
 
     def zero_range(self, paddr: int, length: int) -> None:
         """Zero ``[paddr, paddr+length)``, dropping fully covered frames."""
+        if length == PAGE_SIZE and not paddr & (PAGE_SIZE - 1) and 0 <= paddr < self.size:
+            self._frames.pop(paddr >> PAGE_SHIFT, None)  # exactly one frame
+            return
         self._check(paddr, length)
         end = paddr + length
         addr = paddr

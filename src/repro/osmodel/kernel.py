@@ -31,7 +31,7 @@ from repro.mem.phys_memory import PhysicalMemory
 from repro.osmodel.process import Process, ProcessState, VMArea
 from repro.sim.engine import Engine
 from repro.sim.stats import StatDomain
-from repro.vm.frame_allocator import FrameAllocator
+from repro.vm.frame_allocator import FrameAllocator, OutOfFramesError
 from repro.vm.page_table import PageTable
 
 __all__ = ["Kernel", "ViolationPolicy"]
@@ -172,29 +172,64 @@ class Kernel:
         Frames are allocated eagerly (the Rodinia-style workloads touch
         their data on the CPU before kernel launch); lazy population is
         modeled separately via :meth:`mmap_lazy` + page faults.
+
+        All or nothing: when physical memory runs out the call raises
+        :class:`OutOfFramesError` and leaves frames, page table, refcounts
+        and the virtual range as they were. Base pages are checked up
+        front (data frames plus the table nodes the range still needs);
+        2 MB pages need aligned contiguous runs, which no count predicts,
+        so a failed large mmap is rolled back instead.
         """
         if num_pages <= 0:
             raise MemoryError_("mmap of zero pages")
         if large and num_pages % PAGES_PER_LARGE_PAGE:
             raise MemoryError_("large mmap must be a multiple of 512 pages")
         align = PAGES_PER_LARGE_PAGE if large else 1
+        cursor = proc._mmap_cursor
         start_vpn = proc.reserve_vpns(num_pages, alignment_pages=align)
-        if large:
-            for chunk in range(num_pages // PAGES_PER_LARGE_PAGE):
-                base_ppn = self.allocator.alloc_contiguous(
-                    PAGES_PER_LARGE_PAGE, align=PAGES_PER_LARGE_PAGE
+        page_table = proc.page_table
+        try:
+            if large:
+                ppns = self._map_large(page_table, start_vpn, num_pages, perms)
+            else:
+                needed = num_pages + page_table.missing_nodes(start_vpn, num_pages)
+                if needed > self.allocator.free_frames:
+                    raise OutOfFramesError(
+                        f"mmap of {num_pages} pages needs {needed} frames, "
+                        f"{self.allocator.free_frames} free"
+                    )
+                ppns = page_table.map_run(
+                    start_vpn, num_pages, perms, self.allocator.alloc
                 )
-                vpn = start_vpn + chunk * PAGES_PER_LARGE_PAGE
-                proc.page_table.map(vpn, base_ppn, perms, large=True)
-                for p in range(PAGES_PER_LARGE_PAGE):
-                    self._frame_refs[base_ppn + p] = 1
-        else:
-            for i in range(num_pages):
-                ppn = self.allocator.alloc()
-                proc.page_table.map(start_vpn + i, ppn, perms)
-                self._frame_refs[ppn] = 1
+        except OutOfFramesError:
+            proc._mmap_cursor = cursor
+            raise
+        self._frame_refs.update(dict.fromkeys(ppns, 1))
         proc.areas[start_vpn] = VMArea(start_vpn, num_pages, perms, large=large)
         return start_vpn << PAGE_SHIFT
+
+    def _map_large(
+        self, page_table: PageTable, start_vpn: int, num_pages: int, perms: Perm
+    ) -> List[int]:
+        """Back ``num_pages`` from ``start_vpn`` with 2 MB frames; returns
+        every base PPN. Undoes its frames and table nodes on failure."""
+        nodes = page_table.node_count
+        bases: List[int] = []
+        try:
+            for vpn in range(start_vpn, start_vpn + num_pages, PAGES_PER_LARGE_PAGE):
+                bases.append(
+                    self.allocator.alloc_contiguous(
+                        PAGES_PER_LARGE_PAGE, align=PAGES_PER_LARGE_PAGE
+                    )
+                )
+                page_table.map(vpn, bases[-1], perms, large=True)
+        except OutOfFramesError:
+            for i, base in enumerate(bases):
+                page_table.unmap(start_vpn + i * PAGES_PER_LARGE_PAGE)
+                self.allocator.free_contiguous(base, PAGES_PER_LARGE_PAGE)
+            page_table.release_nodes_since(nodes)
+            raise
+        return [base + p for base in bases for p in range(PAGES_PER_LARGE_PAGE)]
 
     def mmap_lazy(self, proc: Process, num_pages: int, perms: Perm = Perm.RW) -> int:
         """Reserve a region without frames; touches fault them in."""

@@ -79,10 +79,12 @@ class FrameAllocator:
 
     def alloc(self, zero: bool = True) -> int:
         """Allocate one frame; returns its PPN."""
-        if self.free_frames == 0:
-            raise OutOfFramesError("no free physical frames")
-        # Prefer an ascending scan from the hint for locality/determinism.
-        ppn = self._scan_from(self._next_hint)
+        ppn = self._next_hint
+        if ppn >= self.num_frames or ppn in self._used:
+            if self.free_frames == 0:
+                raise OutOfFramesError("no free physical frames")
+            # Prefer an ascending scan from the hint for locality/determinism.
+            ppn = self._scan_from(ppn)
         self._used.add(ppn)
         self._next_hint = ppn + 1
         if zero:

@@ -18,9 +18,9 @@ PTE format (bits):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro.core.permissions import Perm
+from repro.core.permissions import PERM_BY_VALUE, Perm
 from repro.errors import MemoryError_
 from repro.mem.address import (
     LARGE_PAGE_SIZE,
@@ -59,24 +59,19 @@ class Translation:
         return self.page_size == LARGE_PAGE_SIZE
 
 
+def _flags(perms: Perm, large: bool = False) -> int:
+    """Every PTE bit but the PPN. Perm.R (1) and Perm.W (2) shifted up one
+    are _FLAG_READ and _FLAG_WRITE."""
+    flags = _FLAG_PRESENT | ((perms._value_ & 3) << 1)
+    return (flags | _FLAG_LARGE) if large else flags
+
+
 def _encode(ppn: int, perms: Perm, large: bool = False) -> int:
-    pte = _FLAG_PRESENT | ((ppn << _PPN_SHIFT) & _PPN_MASK)
-    if perms.readable:
-        pte |= _FLAG_READ
-    if perms.writable:
-        pte |= _FLAG_WRITE
-    if large:
-        pte |= _FLAG_LARGE
-    return pte
+    return _flags(perms, large) | ((ppn << _PPN_SHIFT) & _PPN_MASK)
 
 
 def _decode_perms(pte: int) -> Perm:
-    perms = Perm.NONE
-    if pte & _FLAG_READ:
-        perms |= Perm.R
-    if pte & _FLAG_WRITE:
-        perms |= Perm.W
-    return perms
+    return PERM_BY_VALUE[(pte & (_FLAG_READ | _FLAG_WRITE)) >> 1]
 
 
 class PageTable:
@@ -90,6 +85,9 @@ class PageTable:
         self.asid = asid
         self.root_ppn = allocator.alloc()
         self._node_frames: List[int] = [self.root_ppn]
+        # Physical address of the parent entry pointing at each node in
+        # _node_frames (the root has none): lets a failed map unlink them.
+        self._node_links: List[int] = [-1]
         self.version = 0  # bumped on every unmap/protect (shootdown epoch)
 
     # -- PTE access ------------------------------------------------------
@@ -115,22 +113,78 @@ class PageTable:
         """Install a VPN -> PPN mapping with the given permissions.
 
         Large mappings must be 2 MB-aligned on both sides and install a
-        single level-2 entry covering 512 base pages.
+        single level-2 entry covering 512 base pages. A base page goes
+        through :meth:`map_run`, the one leaf-install routine.
+        """
+        if not large:
+            self.map_run(vpn, 1, perms, lambda: ppn)
+            return
+        if perms is Perm.NONE:
+            raise MemoryError_("mapping with no permissions; use unmap instead")
+        if vpn % PAGES_PER_LARGE_PAGE or ppn % PAGES_PER_LARGE_PAGE:
+            raise MemoryError_("large mappings must be 2 MB aligned")
+        idx = self._indices(vpn)
+        node = self._descend_to(idx, depth=2, create=True)
+        self._write_pte(node, idx[2], _encode(ppn, perms, large=True))
+
+    def map_run(
+        self, start_vpn: int, count: int, perms: Perm, next_ppn: Callable[[], int]
+    ) -> List[int]:
+        """Map ``count`` base pages from ``start_vpn``; returns their PPNs.
+
+        Page ``start_vpn + i`` maps to the ``i``-th frame ``next_ppn()``
+        returns. The walk to a leaf node runs once per leaf, not per page:
+        the leaf found (or created) for a run's first page serves every
+        following page in it. ``next_ppn`` is called for a page before its
+        leaf node is looked up, so ``allocator.alloc`` as the source keeps
+        the page-by-page allocation order — the data frame, then any node
+        the page needs — and with it every physical address.
         """
         if perms is Perm.NONE:
             raise MemoryError_("mapping with no permissions; use unmap instead")
-        idx = self._indices(vpn)
-        if large:
-            if vpn % PAGES_PER_LARGE_PAGE or ppn % PAGES_PER_LARGE_PAGE:
-                raise MemoryError_("large mappings must be 2 MB aligned")
-            node = self._descend_to(idx, depth=2, create=True)
-            self._write_pte(node, idx[2], _encode(ppn, perms, large=True))
-        else:
-            node = self._descend_to(idx, depth=3, create=True)
-            existing = self._read_pte(node, idx[3])
-            if existing & _FLAG_PRESENT:
+        flags = _flags(perms)
+        read_u64 = self.phys.read_u64
+        write_u64 = self.phys.write_u64
+        ppns: List[int] = []
+        leaf = 0
+        for vpn in range(start_vpn, start_vpn + count):
+            ppn = next_ppn()
+            ppns.append(ppn)
+            if vpn == start_vpn or not vpn & 0x1FF:
+                leaf = self._descend_to(self._indices(vpn), 3, create=True) << PAGE_SHIFT
+            pte_addr = leaf + (vpn & 0x1FF) * _PTE_SIZE
+            if read_u64(pte_addr) & _FLAG_PRESENT:
                 raise MemoryError_(f"vpn {vpn:#x} already mapped")
-            self._write_pte(node, idx[3], _encode(ppn, perms))
+            write_u64(pte_addr, flags | ((ppn << _PPN_SHIFT) & _PPN_MASK))
+        return ppns
+
+    def missing_nodes(self, start_vpn: int, count: int) -> int:
+        """How many table nodes mapping ``count`` base pages from
+        ``start_vpn`` would allocate: each interior and leaf node on the
+        range's paths that is not present yet."""
+        last_vpn = start_vpn + count - 1
+        # A walk that stops before reading an entry of the node at
+        # ``depth`` (root = 0) did not find that node.
+        return sum(
+            len(self.walk(prefix << shift)[1]) <= depth
+            for depth, shift in ((1, 27), (2, 18), (3, 9))
+            for prefix in range(start_vpn >> shift, (last_vpn >> shift) + 1)
+        )
+
+    def release_nodes_since(self, mark: int) -> None:
+        """Free the nodes created after the table had ``mark`` of them,
+        unlinking each from its parent — the undo of a failed bulk map.
+        Every mapping under those nodes must already be removed."""
+        for parent_pte in reversed(self._node_links[mark:]):
+            self.phys.write_u64(parent_pte, 0)
+        for frame in reversed(self._node_frames[mark:]):
+            self.allocator.free(frame)
+        del self._node_frames[mark:]
+        del self._node_links[mark:]
+
+    @property
+    def node_count(self) -> int:
+        return len(self._node_frames)
 
     def unmap(self, vpn: int) -> Optional[Translation]:
         """Remove a mapping; returns the old translation (None if absent)."""
@@ -173,6 +227,7 @@ class PageTable:
                     raise MemoryError_("walk reached non-present interior entry")
                 child = self.allocator.alloc()
                 self._node_frames.append(child)
+                self._node_links.append((node << PAGE_SHIFT) + idx[level] * _PTE_SIZE)
                 # Interior entries carry RW so leaf entries fully control perms.
                 self._write_pte(node, idx[level], _encode(child, Perm.RW))
                 node = child
@@ -245,4 +300,5 @@ class PageTable:
         for frame in self._node_frames:
             self.allocator.free(frame)
         self._node_frames = []
+        self._node_links = []
         self.version += 1

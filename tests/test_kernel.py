@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError, MemoryError_, PageFault
 from repro.mem.address import PAGE_SIZE, PAGES_PER_LARGE_PAGE
 from repro.osmodel.kernel import Kernel, ViolationPolicy
 from repro.osmodel.process import ProcessState
+from repro.vm.frame_allocator import OutOfFramesError
 
 
 class TestProcessLifecycle:
@@ -73,6 +74,69 @@ class TestMmap:
         vaddr = kernel.mmap(proc, 2)
         kernel.proc_write(proc, vaddr + 4090, b"straddles page")
         assert kernel.proc_read(proc, vaddr + 4090, 14) == b"straddles page"
+
+
+class TestMmapAllOrNothing:
+    """A mmap that runs out of frames leaves no trace (and no leak)."""
+
+    @staticmethod
+    def _state(kernel, proc):
+        return (
+            kernel.allocator.used_frames,
+            list(proc.page_table.entries()),
+            dict(kernel._frame_refs),
+            proc._mmap_cursor,
+        )
+
+    def test_out_of_frames_changes_nothing(self, kernel):
+        baseline = kernel.allocator.used_frames
+        proc = kernel.create_process("p")
+        kernel.mmap(proc, 600)  # existing pages and a second leaf node
+        before = self._state(kernel, proc)
+        with pytest.raises(OutOfFramesError):
+            kernel.mmap(proc, kernel.allocator.free_frames + 10)
+        assert self._state(kernel, proc) == before
+        kernel.exit_process(proc)
+        assert kernel.allocator.used_frames == baseline
+        assert kernel._frame_refs == {}
+
+    def test_exact_fit_succeeds_and_next_page_fails(self, kernel):
+        """The up-front check counts only the table nodes still missing."""
+        baseline = kernel.allocator.used_frames
+        proc = kernel.create_process("p")
+        free = kernel.allocator.free_frames
+        start_vpn = proc._mmap_cursor
+        pages = free
+        while pages + proc.page_table.missing_nodes(start_vpn, pages) > free:
+            pages -= 1
+        kernel.mmap(proc, pages)
+        assert kernel.allocator.free_frames == 0
+        before = self._state(kernel, proc)
+        with pytest.raises(OutOfFramesError):
+            kernel.mmap(proc, 1)
+        assert self._state(kernel, proc) == before
+        kernel.exit_process(proc)
+        assert kernel.allocator.used_frames == baseline
+
+    def test_large_mmap_out_of_frames_rolls_back(self, kernel):
+        baseline = kernel.allocator.used_frames
+        proc = kernel.create_process("p")
+        kernel.mmap(proc, 4)
+        # Start two chunks below a level-2 node boundary, so the failed
+        # mmap also creates a table node that must be released.
+        proc.reserve_vpns((1 << 18) - 2 * PAGES_PER_LARGE_PAGE - proc._mmap_cursor)
+        before = self._state(kernel, proc)
+        nodes = proc.page_table.node_count
+        # More 2 MB frames than memory holds: some chunks map, then one fails.
+        chunks = kernel.phys.num_frames // PAGES_PER_LARGE_PAGE
+        with pytest.raises(OutOfFramesError):
+            kernel.mmap(proc, chunks * PAGES_PER_LARGE_PAGE, large=True)
+        assert self._state(kernel, proc) == before
+        assert proc.page_table.node_count == nodes
+        vaddr = kernel.mmap(proc, PAGES_PER_LARGE_PAGE, large=True)
+        assert proc.page_table.translate(vaddr).is_large
+        kernel.exit_process(proc)
+        assert kernel.allocator.used_frames == baseline
 
 
 class TestMprotect:

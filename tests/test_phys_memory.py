@@ -103,3 +103,64 @@ class TestResidency:
         assert phys.contains(MB - 1)
         assert not phys.contains(MB)
         assert not phys.contains(MB - 1, 2)
+
+
+class TestWordAndByteAccess:
+    """The one-frame u64/u8 paths and their fall-backs to read/write."""
+
+    def test_u64_at_last_in_frame_offset_touches_one_frame(self):
+        phys = PhysicalMemory(MB)
+        phys.write_u64(0x1000 + 4088, 0x0102030405060708)
+        assert phys.resident_bytes == 4096
+        assert phys.read_u64(0x1000 + 4088) == 0x0102030405060708
+        assert phys.read(0x1000 + 4088, 8) == bytes([8, 7, 6, 5, 4, 3, 2, 1])
+
+    def test_u64_straddling_frames_round_trips(self):
+        phys = PhysicalMemory(MB)
+        phys.write_u64(0x1000 + 4092, 0x0102030405060708)
+        assert phys.resident_bytes == 2 * 4096
+        assert phys.read_u64(0x1000 + 4092) == 0x0102030405060708
+        assert phys.read(0x2000, 4) == bytes([4, 3, 2, 1])
+
+    def test_u64_at_top_of_memory(self):
+        phys = PhysicalMemory(MB)
+        phys.write_u64(MB - 8, 7)
+        assert phys.read_u64(MB - 8) == 7
+        for paddr in (MB - 4, MB, -8, -1):
+            with pytest.raises(UnmappedAddressError):
+                phys.read_u64(paddr)
+            with pytest.raises(UnmappedAddressError):
+                phys.write_u64(paddr, 1)
+
+    def test_u8_bounds(self):
+        phys = PhysicalMemory(MB)
+        phys.write_u8(MB - 1, 0xAB)
+        assert phys.read_u8(MB - 1) == 0xAB
+        for paddr in (MB, -1):
+            with pytest.raises(UnmappedAddressError):
+                phys.read_u8(paddr)
+            with pytest.raises(UnmappedAddressError):
+                phys.write_u8(paddr, 1)
+
+    def test_reading_unwritten_frames_allocates_nothing(self):
+        phys = PhysicalMemory(MB)
+        phys.write_u8(0, 1)
+        assert phys.read_u64(0x3000) == 0
+        assert phys.read_u64(0x3000 + 4092) == 0  # straddling, generic path
+        assert phys.read_u8(0x5FFF) == 0
+        assert phys.resident_bytes == 4096
+
+    def test_protection_table_field_in_a_frames_last_byte(self):
+        from repro.core.permissions import Perm
+        from repro.core.protection_table import ProtectionTable
+
+        phys = PhysicalMemory(64 * MB)  # 16384 pages: a 4 KB table
+        table = ProtectionTable(phys, 0x1000, 16384)
+        last = 4 * 4095 + 3  # highest 2-bit field of the table's only frame
+        table.set(last, Perm.W)
+        table.set(last - 1, Perm.R)
+        assert table.get(last) is Perm.W
+        assert table.get(last - 1) is Perm.R
+        assert phys.read_u8(0x1000 + 4095) == 0b10_01_00_00
+        assert phys.read_u8(0x2000) == 0  # the next frame is untouched
+        assert phys.resident_bytes == 4096

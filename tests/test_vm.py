@@ -1,7 +1,10 @@
 """Unit tests for the virtual-memory substrate: allocator, page table,
 TLB, and MMU."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.permissions import Perm
 from repro.errors import MemoryError_, PageFault, ProtectionFault
@@ -10,6 +13,8 @@ from repro.vm.frame_allocator import FrameAllocator, OutOfFramesError
 from repro.vm.mmu import MMU
 from repro.vm.page_table import PageTable
 from repro.vm.tlb import TLB, TLBEntry
+
+from tests.util import MEM_128M
 
 
 class TestFrameAllocator:
@@ -180,6 +185,72 @@ class TestPageTable:
         _t, touched = table.walk(0)
         leaf_pte = phys.read_u64(touched[-1])
         assert leaf_pte & 1  # present bit, straight from simulated DRAM
+
+
+# Level-2 node boundary above Process._MMAP_BASE_VPN (0x10000): offsets
+# just below it make a run cross into a new level-2 node as well as a leaf.
+_L2_OFFSET = (1 << 18) - 0x10000
+
+
+def _mapped_state(kernel, proc):
+    """Frames in use, table nodes in creation order, a digest of every
+    written byte of memory, and the mappings — compact, so a failing
+    example reports quickly."""
+    memory = hashlib.sha256()
+    for frame, backing in kernel.phys.touched_frames():
+        memory.update(frame.to_bytes(8, "little") + bytes(backing))
+    return (
+        kernel.allocator.snapshot_used(),
+        list(proc.page_table._node_frames),
+        memory.hexdigest(),
+        [(t.vpn, t.ppn, int(t.perms), t.page_size) for t in proc.page_table.entries()],
+    )
+
+
+@given(
+    offset=st.integers(0, 511) | st.integers(_L2_OFFSET - 700, _L2_OFFSET),
+    pages=st.integers(1, 1300),
+    perms=st.sampled_from([Perm.R, Perm.W, Perm.RW]),
+    premapped=st.none() | st.integers(0, 1299),
+)
+def test_leaf_at_a_time_mmap_matches_page_by_page(offset, pages, perms, premapped):
+    """Kernel.mmap installs a leaf node's PTEs in one pass; the result must
+    equal mapping each page on its own: same frames, in the same order (data
+    frame before the nodes it needs), same table bytes, same errors."""
+    from repro.mem.phys_memory import PhysicalMemory
+    from repro.osmodel.kernel import Kernel
+
+    def fresh():
+        kernel = Kernel(PhysicalMemory(MEM_128M))
+        proc = kernel.create_process("p")
+        proc.reserve_vpns(offset)
+        start_vpn = proc._mmap_cursor
+        if premapped is not None and premapped < pages:
+            proc.page_table.map(start_vpn + premapped, kernel.allocator.alloc(), Perm.R)
+        return kernel, proc, start_vpn
+
+    kernel, proc, start_vpn = fresh()
+    try:
+        kernel.mmap(proc, pages, perms)
+        bulk_error = None
+    except MemoryError_ as exc:
+        bulk_error = str(exc)
+
+    ref_kernel, ref_proc, _ = fresh()
+    ref_error = None
+    for vpn in range(start_vpn, start_vpn + pages):
+        try:
+            ref_proc.page_table.map(vpn, ref_kernel.allocator.alloc(), perms)
+        except MemoryError_ as exc:
+            ref_error = str(exc)
+            break
+
+    assert bulk_error == ref_error
+    if premapped is not None and premapped < pages:
+        assert bulk_error == f"vpn {start_vpn + premapped:#x} already mapped"
+    want = _mapped_state(ref_kernel, ref_proc)
+    for got_part, want_part in zip(_mapped_state(kernel, proc), want):
+        assert got_part == want_part
 
 
 class TestTLB:
