@@ -192,10 +192,9 @@ def test_event_single_waiter_fast_path(benchmark):
     benchmark(run)
 
 
-def test_wavefront_batched_replay(benchmark):
-    """A pure-L1-hit wavefront stream: exercises the fast-forward path in
-    GPU._run_wavefront (runs of same-latency private-cache hits collapse
-    into one engine wakeup per batch)."""
+def test_wavefront_l1_read_hits(benchmark):
+    """A read-heavy, L1-hit-rich wavefront stream: exercises the GPU's
+    flattened L1 read-hit dispatch (no Process per hitting read)."""
     from repro.sim.config import GPUThreading, SafetyMode
     from repro.sim.runner import run_single
 

@@ -95,60 +95,6 @@ class CachedHierarchyPath:
             yield from self.l1_caches[cu_index].access(paddr, size, write, data)
         )
 
-    # -- batched-replay fast path -----------------------------------------
-
-    def fast_read_latency(self, cu_index: int) -> int:
-        """Ticks a :meth:`fast_read` hit costs (the L1 hit latency)."""
-        return self.l1_caches[cu_index].config.hit_latency_ticks
-
-    def fast_read(self, cu_index: int, asid: int, vaddr: int):
-        """Zero-yield probe-and-commit for a pure-hit read.
-
-        The all-or-nothing analogue of :meth:`mem_op` for the only case
-        batched trace replay may service inline: an L1 TLB hit followed by
-        an L1 cache read hit. Both structures are probed without side
-        effects first; only when *both* hit are the hit-path side effects
-        committed (recency touches + hit counters — exactly what the
-        generator path commits, in the same per-structure order). Returns
-        the resident line (truthy) on success, or ``None`` with the TLB
-        and cache untouched so the caller can fall back to :meth:`mem_op`
-        without double counting.
-        """
-        tlb = self.l1_tlbs[cu_index]
-        vpn = vaddr >> PAGE_SHIFT
-        probed = tlb.probe(asid, vpn)
-        if probed is None:
-            return None
-        key, entry = probed
-        paddr = (entry.ppn_for(vpn) << PAGE_SHIFT) | (vaddr & 0xFFF)
-        # A block-granular read, clipped at the block boundary — the same
-        # size mem_op computes for a read.
-        size = BLOCK_SIZE - (paddr & (BLOCK_SIZE - 1))
-        cache = self.l1_caches[cu_index]
-        line = cache.probe_read_hit(paddr, size)
-        if line is None:
-            return None
-        tlb.commit_hit(key)
-        cache.commit_read_hit(line)
-        return line
-
-    def batch_context(self):
-        """The structures the vectorized tier classifies against.
-
-        Returns ``(l1_tlbs, l1_caches, table, bcc)`` where ``table`` is
-        the authoritative Protection Table guarding this path's border
-        port (``None`` when the configured safety mode has none — e.g.
-        ATS-only) and ``bcc`` the Border Control Cache, if any. Path
-        adapters without per-CU structures simply do not define this
-        method, which disables the vector tier.
-        """
-        port = getattr(self.l2_cache, "downstream", None)
-        bc = getattr(port, "bc", None)
-        table = getattr(bc, "table", None)
-        if not hasattr(table, "base_paddr"):
-            table = None
-        return self.l1_tlbs, self.l1_caches, table, getattr(bc, "bcc", None)
-
     # -- maintenance ------------------------------------------------------
 
     def shootdown(self, asid: int, vpn: Optional[int] = None) -> None:

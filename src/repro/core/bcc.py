@@ -85,11 +85,6 @@ class BorderControlCache:
         # leaving identical cache state. ``-1`` means invalid.
         self._mru_group = -1
         self._mru_packed = 0
-        # Residency/content version for the vector tier's telemetry
-        # snapshots (repro.sim.batch): bumped on fills, invalidations and
-        # permission rewrites.
-        self.version = 0
-        self._vec_snap = None
         ppe = config.pages_per_entry
         self._ppe = ppe
         if ppe & (ppe - 1) == 0:
@@ -195,7 +190,6 @@ class BorderControlCache:
 
     def _fill(self, group: int, table: ProtectionTable) -> int:
         self._fills.value += 1
-        self.version += 1
         ppe = self.config.pages_per_entry
         packed = table.read_bits(group * ppe, ppe)
         if group not in self._entries and len(self._entries) >= self.config.num_entries:
@@ -220,7 +214,6 @@ class BorderControlCache:
         if group in self._entries:
             ppe = self.config.pages_per_entry
             self._entries[group] = table.read_bits(group * ppe, ppe)
-            self.version += 1
             if group == self._mru_group:
                 self._mru_group = -1  # drop the stale MRU copy
             self._invalidations.inc()
@@ -230,8 +223,6 @@ class BorderControlCache:
         self._invalidations.inc()
         self._entries.clear()
         self._mru_group = -1
-        self.version += 1
-        self._vec_snap = None
 
     # -- introspection ---------------------------------------------------------------
 

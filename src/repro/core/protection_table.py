@@ -50,10 +50,6 @@ class ProtectionTable:
         self.size_bytes = align_up(
             (covered_pages + PAGES_PER_BYTE - 1) // PAGES_PER_BYTE, PAGE_SIZE
         )
-        # Permission-bit version for the vector tier's memoized snapshot
-        # (repro.sim.batch.readable_snapshot): bumped on every mutation.
-        self.version = 0
-        self._vec_snap = None
         if not phys.contains(base_paddr, self.size_bytes):
             raise ConfigurationError("protection table does not fit in memory")
 
@@ -113,7 +109,6 @@ class ProtectionTable:
         addr, shift = self._field_addr(ppn)
         byte = self.phys.read_u8(addr)
         self.phys.write_u8(addr, (byte & ~(0x3 << shift)) | (int(perms) << shift))
-        self.version += 1
 
     def grant(self, ppn: int, perms: Perm) -> bool:
         """OR permissions into a page's field (insertion is monotonic up,
@@ -160,8 +155,6 @@ class ProtectionTable:
     def zero(self) -> None:
         """Zero the whole table — revoking every permission (§3.2.4-5)."""
         self.phys.zero_range(self.base_paddr, self.size_bytes)
-        self.version += 1
-        self._vec_snap = None
 
     def populated(self) -> Iterator[Tuple[int, Perm]]:
         """Iterate (ppn, perms) for pages with any permission set."""

@@ -41,8 +41,8 @@ PAGES_PER_LARGE_PAGE = LARGE_PAGE_SIZE // PAGE_SIZE  # 512
 BLOCK_SHIFT = 7
 BLOCK_SIZE = 1 << BLOCK_SHIFT  # 128-byte memory blocks (paper §3.1.2)
 
-# Masks precomputed for the hot paths (scalar fast-reads and the
-# vectorized batch tier share this arithmetic).
+# Masks precomputed for the hot paths (the GPU's flattened L1 read hits
+# use this arithmetic).
 BLOCK_MASK = BLOCK_SIZE - 1
 PAGE_MASK = PAGE_SIZE - 1
 # A 2 MB large-page TLB entry is 512-page aligned; ANDing a VPN with this

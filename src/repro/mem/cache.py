@@ -103,12 +103,6 @@ class Cache(MemoryPort):
             OrderedDict() for _ in range(config.num_sets)
         ]
         self._pending: Dict[int, Event] = {}  # block addr -> fill completion
-        # Residency version for the vector tier's memoized snapshots
-        # (repro.sim.batch): bumped whenever the set of resident blocks
-        # changes. Recency-only touches (hits) do not bump it — snapshot
-        # consumers only classify hit/miss, never recency order.
-        self.version = 0
-        self._vec_snap = None
         self._stats = stats
         self._hits = stats.counter("hits")
         self._misses = stats.counter("misses")
@@ -127,38 +121,6 @@ class Cache(MemoryPort):
         """Probe without any side effects (no recency update, no timing)."""
         block_addr = addr & ~self._block_mask
         return self._set_for(block_addr).get(block_addr)
-
-    # -- batched-replay fast path -------------------------------------------
-
-    def probe_read_hit(self, addr: int, size: int) -> Optional[Line]:
-        """Pure probe for the batched-replay fast path.
-
-        Returns the resident line when a read of ``size`` bytes at ``addr``
-        would be a plain hit, with *no* side effects — no recency touch, no
-        counters. A ``None`` return (miss, or a block-straddling access the
-        generator path must reject) leaves the cache untouched, so the
-        caller can fall back to :meth:`access` without double counting.
-        """
-        block_addr = addr & ~self._block_mask
-        if (addr - block_addr) + size > self._block_size:
-            return None
-        return self._sets[(block_addr >> self._block_shift) % self._num_sets].get(
-            block_addr
-        )
-
-    def commit_read_hit(self, line: Line) -> None:
-        """Commit the side effects of a probed read hit.
-
-        Applies exactly what the hit path of :meth:`access` applies — the
-        LRU recency touch and the hit counter — so a batched replay that
-        probed with :meth:`probe_read_hit` leaves the cache in the same
-        state the generator path would have.
-        """
-        block_addr = line.block_addr
-        self._sets[(block_addr >> self._block_shift) % self._num_sets].move_to_end(
-            block_addr
-        )
-        self._hits.value += 1
 
     # -- the port protocol -------------------------------------------------
 
@@ -186,11 +148,11 @@ class Cache(MemoryPort):
     ) -> Generator:
         """The post-hit-latency half of :meth:`access`.
 
-        Split out so the vector tier's flattened read path — which probes
-        at dispatch time and re-validates at the hit-latency boundary —
-        can replay exactly this code when the line turned out not to be
-        resident: the hit/miss decision is made *here*, at the same
-        simulated instant the scalar path makes it.
+        Split out so the GPU's flattened L1 read-hit path — which
+        translates at dispatch time and re-validates at the hit-latency
+        boundary — can replay exactly this code when the line turned out
+        not to be resident: the hit/miss decision is made *here*, at the
+        same simulated instant the Process-per-op path makes it.
         """
         cache_set = self._sets[(block_addr >> self._block_shift) % self._num_sets]
         line = cache_set.get(block_addr)
@@ -277,7 +239,6 @@ class Cache(MemoryPort):
         if len(cache_set) >= self.config.associativity:
             _addr, victim = cache_set.popitem(last=False)  # LRU
         cache_set[line.block_addr] = line
-        self.version += 1
         return victim
 
     def _write_back(self, line: Line) -> Generator:
@@ -290,7 +251,6 @@ class Cache(MemoryPort):
 
     def _invalidate_line(self, block_addr: int) -> None:
         self._set_for(block_addr).pop(block_addr, None)
-        self.version += 1
 
     # -- maintenance operations --------------------------------------------------
 
@@ -304,7 +264,6 @@ class Cache(MemoryPort):
         number of lines written back.
         """
         self._flushes.inc()
-        self.version += 1
         pending = []
         for cache_set in self._sets:
             lines = list(cache_set.values())
@@ -323,7 +282,6 @@ class Cache(MemoryPort):
     def flush_page(self, ppn: int) -> Generator:
         """Selective flush: write back and invalidate lines of one page."""
         self._flushes.inc()
-        self.version += 1
         pending = []
         for cache_set in self._sets:
             doomed = [
@@ -354,7 +312,6 @@ class Cache(MemoryPort):
                 if line.dirty:
                     lost += 1
             cache_set.clear()
-        self.version += 1
         return lost
 
     def reset(self) -> None:
@@ -367,8 +324,6 @@ class Cache(MemoryPort):
         for cache_set in self._sets:
             cache_set.clear()
         self._pending.clear()
-        self.version += 1
-        self._vec_snap = None  # warm reuse must carry no batch state
 
     # -- introspection ------------------------------------------------------
 

@@ -1,432 +1,23 @@
-"""Vectorized (structure-of-arrays) execution tier for the simulation core.
+"""Environment probes for the benchmark's ``# env`` line.
 
-This module is the numpy side of the batched wavefront replay introduced
-by the scalar probe/commit fast path (``Cache.probe_read_hit``,
-``TLB.probe``, ``BandwidthServer.preview``): where the scalar path prices
-and classifies one access at a time, this tier classifies a whole *window*
-of upcoming accesses in single numpy passes over memoized snapshots of
-TLB residency, cache residency, and Protection Table permission bits.
-
-Observation-safety contract (the horizon guard)
------------------------------------------------
-
-A batch may only commit effects that no other simulation actor could have
-observed or reordered against. The guard is
-:meth:`repro.sim.engine.Engine.next_event_time` — the earliest queued
-entry across *all* ready actors at the current tick (a pending ready-deque
-entry pins the horizon to ``now``) and the event heap. Every batched
-commit must land strictly before that horizon; the first op whose
-completion would reach it ends the batch and replays through the scalar
-path. Within the window, classification against a residency *snapshot* is
-exact because a batch consists only of L1 read hits: hits touch recency
-but never insert or evict, so residency is constant for the whole batch
-and the snapshot cannot go stale mid-batch.
-
-Fallback triggers (each counted in :data:`STATS`):
-
-* ``horizon`` — the next op's completion time reaches the guard;
-* ``miss`` — a TLB or L1 miss (the op must run the fill/translate path);
-* ``write`` — stores always cross downstream (write-through L1s);
-* ``perm`` — the Protection Table no longer grants Read on a batched
-  page (defense in depth: downgrades flush the L1s first, so residency
-  should imply permission — a hit here aborts the batch and routes the
-  op through the full checking path);
-* ``mlp`` — the wavefront must wait on a live (non-token) op;
-* ``disabled`` — the vector tier is off (no numpy, or ``REPRO_VECTOR=0``).
-
-The ``REPRO_VECTOR`` gate
--------------------------
-
-``REPRO_VECTOR=0`` disables the tier (the scalar path is the reference
-oracle and stays bit-identical); any other value — or the variable being
-unset — enables it when numpy is importable. The flag is re-read on every
-kernel launch, so a warm-reused :class:`~repro.sim.system.System` honors
-mode changes between runs. Without numpy the tier is disabled with a
-one-line warning and everything runs the pure-Python scalar path.
-
-Snapshots are cached on the snapshotted objects (``_vec_snap``) keyed by
-their ``version`` counters; any insert/evict/invalidate/flush/reset bumps
-the version, and ``reset()`` additionally drops the snapshot outright so
-warm-reused systems carry no batch state across runs.
-
-Transformations proven unsound (do not re-attempt)
---------------------------------------------------
-
-Bit-identity to the scalar oracle pins the engine's ``(when, seq)``
-tie-breaking, which rules out the aggressive rewrites that would turn
-this tier into a multi-x end-to-end win on highly-threaded cells:
-
-* *sleep fusion* — collapsing a wavefront's ``yield gap`` chain into one
-  sleep skips intermediate wakeups, so every later same-tick event draws
-  a different ``seq`` and same-tick FIFO order diverges;
-* *inline dispatch at resume time* — running the access at the moment
-  the sleep expires rather than re-enqueueing at the original queue
-  position reorders it against other actors ready at that tick;
-* *per-CU relaxed horizons* — letting one CU commit past another CU's
-  next event is exactly the reordering the global guard exists to stop.
-
-On 128-wavefront cells the shared issue ports keep the event horizon
-within one hit latency of ``now`` essentially always, so the batch drain
-rarely opens and the realized win is the flattened per-op dispatch (no
-generator spawn on L1 read hits), not bulk classification. That is a
-property of the interleaving contract, not an implementation gap.
+This module exists only so ``perfbench/run.py`` can keep printing the
+same environment line. The GPU has one read path — flattened L1 read
+hits, always on (see :class:`repro.accel.gpu.GPU`) — and the simulator
+does not use numpy.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import List, Optional, Sequence, Tuple
+import importlib.util
 
-try:  # pragma: no cover - exercised via tests that stub np to None
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None  # type: ignore[assignment]
-
-from repro.mem.address import BLOCK_SIZE, PAGE_SHIFT
-
-__all__ = [
-    "STATS",
-    "BatchStats",
-    "TraceSoA",
-    "build_soa",
-    "cache_snapshot",
-    "classify_window",
-    "numpy_available",
-    "readable_snapshot",
-    "reset_stats",
-    "tlb_snapshot",
-    "vector_enabled",
-]
-
-_LARGE_BASE_MASK = ~0x1FF  # 2 MB large-page entries are 512-page aligned
-_warned_no_numpy = False
+__all__ = ["numpy_available", "vector_enabled"]
 
 
 def numpy_available() -> bool:
-    return np is not None
+    """Whether numpy is installed (checked without importing it)."""
+    return importlib.util.find_spec("numpy") is not None
 
 
 def vector_enabled() -> bool:
-    """True when the vector tier should run (re-read per kernel launch)."""
-    if os.environ.get("REPRO_VECTOR", "1") == "0":
-        return False
-    if np is None:
-        global _warned_no_numpy
-        if not _warned_no_numpy:
-            _warned_no_numpy = True
-            warnings.warn(
-                "numpy is not importable: the vector execution tier is "
-                "disabled, running the scalar reference path",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return False
+    """Always ``True``: the flattened L1 read-hit path is always on."""
     return True
-
-
-class BatchStats:
-    """Module-level batch telemetry (deliberately *not* part of RunResult:
-    the scalar and vector paths must produce bit-identical results, and
-    these counters differ by construction between the two modes)."""
-
-    __slots__ = (
-        "batches_attempted",
-        "batches_committed",
-        "ops_batched",
-        "ops_flattened",
-        "fallbacks",
-    )
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        self.batches_attempted = 0
-        self.batches_committed = 0
-        self.ops_batched = 0
-        self.ops_flattened = 0
-        self.fallbacks = {
-            "horizon": 0,
-            "miss": 0,
-            "write": 0,
-            "perm": 0,
-            "mlp": 0,
-            "disabled": 0,
-        }
-
-    @property
-    def batches_aborted(self) -> int:
-        return self.batches_attempted - self.batches_committed
-
-    def fallback_rate(self) -> float:
-        """Scalar-fallback rate: batches aborted / batches attempted."""
-        if self.batches_attempted == 0:
-            return 0.0
-        return self.batches_aborted / self.batches_attempted
-
-    def as_dict(self) -> dict:
-        return {
-            "batches_attempted": self.batches_attempted,
-            "batches_committed": self.batches_committed,
-            "batches_aborted": self.batches_aborted,
-            "ops_batched": self.ops_batched,
-            "ops_flattened": self.ops_flattened,
-            "fallback_rate": self.fallback_rate(),
-            "fallbacks": dict(self.fallbacks),
-        }
-
-
-STATS = BatchStats()
-
-
-def reset_stats() -> None:
-    STATS.reset()
-
-
-# -- structure-of-arrays traces ------------------------------------------------
-
-
-class TraceSoA:
-    """One wavefront's op stream as parallel arrays.
-
-    ``vaddrs`` uses ``-1`` for pure compute ops (``vaddr is None`` in the
-    tuple form). The arrays are materialized *from* the scalar tuples, so
-    they are bit-identical to the scalar RNG draws by construction — the
-    tuple list stays on the trace as the reference oracle.
-    """
-
-    __slots__ = ("gaps", "vaddrs", "is_write")
-
-    def __init__(self, gaps, vaddrs, is_write) -> None:
-        self.gaps = gaps
-        self.vaddrs = vaddrs
-        self.is_write = is_write
-
-    def __len__(self) -> int:
-        return len(self.gaps)
-
-
-def build_soa(ops: Sequence[Tuple[int, Optional[int], bool]]) -> Optional[TraceSoA]:
-    """Materialize one wavefront's op list as a :class:`TraceSoA`."""
-    if np is None or not ops:
-        return None
-    n = len(ops)
-    gaps = np.empty(n, dtype=np.int64)
-    vaddrs = np.empty(n, dtype=np.int64)
-    is_write = np.empty(n, dtype=bool)
-    for i, (gap, vaddr, write) in enumerate(ops):
-        gaps[i] = gap
-        vaddrs[i] = -1 if vaddr is None else vaddr
-        is_write[i] = write
-    return TraceSoA(gaps, vaddrs, is_write)
-
-
-def build_trace_soa(cu_wavefronts) -> Optional[List[List[Optional[TraceSoA]]]]:
-    """SoA mirror of ``KernelTrace.cu_wavefronts`` (None without numpy)."""
-    if np is None:
-        return None
-    return [[build_soa(wf) for wf in cu] for cu in cu_wavefronts]
-
-
-# -- memoized snapshots --------------------------------------------------------
-#
-# Each snapshot is cached on the snapshotted object as ``_vec_snap`` keyed
-# by its ``version`` counter; the producer bumps ``version`` on every
-# insert/evict/invalidate/flush/reset, and reset() clears ``_vec_snap``.
-
-
-def tlb_snapshot(tlb, asid: int):
-    """Sorted-array view of one ASID's resident translations.
-
-    Returns ``(small_vpns, small_ppns, large_bases, large_ppns)`` with the
-    vpn/base arrays sorted ascending (parallel ppn arrays permuted to
-    match), suitable for ``np.searchsorted`` membership tests.
-    """
-    snap = getattr(tlb, "_vec_snap", None)
-    if snap is not None and snap[0] == tlb.version and asid in snap[1]:
-        return snap[1][asid]
-    small_v: List[int] = []
-    small_p: List[int] = []
-    large_v: List[int] = []
-    large_p: List[int] = []
-    for (e_asid, vpn, is_large), entry in tlb._entries.items():
-        if e_asid != asid:
-            continue
-        if is_large:
-            large_v.append(vpn)
-            large_p.append(entry.ppn)
-        else:
-            small_v.append(vpn)
-            small_p.append(entry.ppn)
-    sv = np.asarray(small_v, dtype=np.int64)
-    sp = np.asarray(small_p, dtype=np.int64)
-    lv = np.asarray(large_v, dtype=np.int64)
-    lp = np.asarray(large_p, dtype=np.int64)
-    order = np.argsort(sv, kind="stable")
-    sv, sp = sv[order], sp[order]
-    order = np.argsort(lv, kind="stable")
-    lv, lp = lv[order], lp[order]
-    built = (sv, sp, lv, lp)
-    if snap is None or snap[0] != tlb.version:
-        tlb._vec_snap = (tlb.version, {asid: built})
-    else:
-        snap[1][asid] = built
-    return built
-
-
-def cache_snapshot(cache):
-    """Sorted array of the cache's resident block addresses."""
-    snap = getattr(cache, "_vec_snap", None)
-    if snap is not None and snap[0] == cache.version:
-        return snap[1]
-    blocks = np.asarray(
-        sorted(
-            addr for cache_set in cache._sets for addr in cache_set.keys()
-        ),
-        dtype=np.int64,
-    )
-    cache._vec_snap = (cache.version, blocks)
-    return blocks
-
-
-def readable_snapshot(table):
-    """Sorted array of PPNs the Protection Table grants Read on.
-
-    Backed by the table's raw in-memory permission bytes (2 bits per
-    page, bit 0 of each field = Read), decoded in one vectorized pass.
-    """
-    snap = getattr(table, "_vec_snap", None)
-    if snap is not None and snap[0] == table.version:
-        return snap[1]
-    nbytes = (table.covered_pages + 3) // 4
-    raw = np.frombuffer(
-        bytes(table.phys.read(table.base_paddr, nbytes)), dtype=np.uint8
-    )
-    # Each byte packs four 2-bit fields; extract the Read bit of each.
-    fields = np.empty(nbytes * 4, dtype=np.uint8)
-    fields[0::4] = raw & 0x1
-    fields[1::4] = (raw >> 2) & 0x1
-    fields[2::4] = (raw >> 4) & 0x1
-    fields[3::4] = (raw >> 6) & 0x1
-    readable = np.nonzero(fields[: table.covered_pages])[0].astype(np.int64)
-    table._vec_snap = (table.version, readable)
-    return readable
-
-
-def _member(sorted_arr, values):
-    """Vectorized membership: index into ``sorted_arr`` + hit mask."""
-    if len(sorted_arr) == 0:
-        idx = np.zeros(len(values), dtype=np.intp)
-        return idx, np.zeros(len(values), dtype=bool)
-    idx = np.searchsorted(sorted_arr, values)
-    idx_c = np.minimum(idx, len(sorted_arr) - 1)
-    return idx_c, sorted_arr[idx_c] == values
-
-
-# -- window classification -----------------------------------------------------
-
-
-def classify_window(tlb, cache, asid: int, vaddrs, bcc=None, table=None):
-    """Classify a window of virtual addresses against residency snapshots.
-
-    ``vaddrs`` is an ``np.int64`` array in which ``-1`` marks pure compute
-    ops. Returns ``(batchable, blocks, small_hit, perm_ok)`` where
-    ``batchable`` is a boolean mask (compute ops, and reads that hit the
-    TLB *and* the L1 and whose page the Protection Table still grants
-    Read on), ``blocks`` holds each memory op's physical block address
-    (garbage where not batchable), ``small_hit`` marks which TLB hits
-    used a small-page entry (the commit path needs the key flavor for
-    recency touches), and ``perm_ok`` is the permission mask alone (used
-    to attribute batch aborts to ``perm`` vs ``miss``).
-
-    The BCC's set-index math rides along for telemetry: when ``bcc`` is
-    given, group indices are computed vectorized (``ppn >> group_shift``)
-    — the same single-pass decoupling of protection metadata lookups from
-    the per-request path that motivates the tier.
-    """
-    is_mem = vaddrs >= 0
-    vpns = vaddrs >> PAGE_SHIFT
-    sv, sp, lv, lp = tlb_snapshot(tlb, asid)
-    s_idx, s_hit = _member(sv, vpns)
-    bases = vpns & _LARGE_BASE_MASK
-    l_idx, l_hit = _member(lv, bases)
-    tlb_hit = s_hit | l_hit
-    # Small entries win when both are resident (probe order: small first).
-    # Empty snapshots gather from a zero placeholder (the hit masks are
-    # all-False there, so the gathered values are never used).
-    s_ppn = sp[s_idx] if len(sp) else np.zeros(len(vpns), dtype=np.int64)
-    l_ppn = lp[l_idx] if len(lp) else np.zeros(len(vpns), dtype=np.int64)
-    ppns = np.where(s_hit, s_ppn, l_ppn + (vpns - bases))
-    paddrs = (ppns << PAGE_SHIFT) | (vaddrs & 0xFFF)
-    blocks = paddrs & ~np.int64(BLOCK_SIZE - 1)
-    resident = cache_snapshot(cache)
-    _, l1_hit = _member(resident, blocks)
-    batchable = ~is_mem | (tlb_hit & l1_hit)
-    if table is not None:
-        readable = readable_snapshot(table)
-        _, perm_ok = _member(readable, ppns)
-        batchable &= ~is_mem | perm_ok
-    else:
-        perm_ok = np.ones(len(vaddrs), dtype=bool)
-    if bcc is not None and bcc._group_shift is not None:
-        # Set-index pass (telemetry only: L1 hits never consult the BCC).
-        _groups = ppns >> bcc._group_shift  # noqa: F841
-    return batchable, blocks, s_hit, perm_ok
-
-
-def batchable_run_length(batchable, is_write) -> int:
-    """Length of the leading batchable, non-write run of a window."""
-    ok = batchable & ~is_write
-    bad = np.nonzero(~ok)[0]
-    return int(bad[0]) if len(bad) else len(ok)
-
-
-# -- bulk commits --------------------------------------------------------------
-
-
-def commit_tlb_hits(tlb, asid: int, vpns, small_hit, count: int) -> None:
-    """Commit ``count`` TLB hits' side effects in bulk.
-
-    Equivalent to ``count`` sequential ``commit_hit`` calls: the hit
-    counter is bulk-added and recency is touched once per unique key in
-    order of *last* occurrence (sequential ``move_to_end`` of a sequence
-    is determined entirely by each key's last touch).
-    """
-    if count == 0:
-        return
-    vpns = vpns[:count]
-    small = small_hit[:count]
-    keyed = np.where(small, vpns << 1 | 1, (vpns & _LARGE_BASE_MASK) << 1)
-    last = _last_occurrence_order(keyed)
-    entries = tlb._entries
-    for code in last:
-        code = int(code)
-        if code & 1:
-            entries.move_to_end((asid, code >> 1, False))
-        else:
-            entries.move_to_end((asid, code >> 1, True))
-    tlb._hits.value += count
-
-
-def commit_cache_hits(cache, blocks, count: int) -> None:
-    """Commit ``count`` L1 read hits' side effects in bulk (see above)."""
-    if count == 0:
-        return
-    last = _last_occurrence_order(blocks[:count])
-    sets = cache._sets
-    shift = cache._block_shift
-    nsets = cache._num_sets
-    for block in last:
-        block = int(block)
-        sets[(block >> shift) % nsets].move_to_end(block)
-    cache._hits.value += count
-
-
-def _last_occurrence_order(values):
-    """Unique values ordered by their *last* occurrence in ``values``."""
-    rev = values[::-1]
-    _, first_in_rev = np.unique(rev, return_index=True)
-    # Positions of last occurrences (ascending position = touch order).
-    positions = len(values) - 1 - first_in_rev
-    return values[np.sort(positions)]

@@ -271,25 +271,6 @@ class Engine:
     def _schedule_call(self, fn: Callable[[Any], None], value: Any) -> None:
         self._ready.append((_KIND_CALL_VALUE, fn, value))
 
-    def call_at(self, when: int, fn: Callable[[Any], None], value: Any) -> None:
-        """Schedule ``fn(value)`` at absolute time ``when`` (>= now).
-
-        This is the flattened-actor primitive the vector execution tier
-        uses for per-access commit entries: unlike a generator resume it
-        carries no process, so a dispatch costs one tuple and one direct
-        call. Entries keep global ``(when, seq)`` order exactly like
-        process resumes — a ``when == now`` entry goes to the ready deque.
-        """
-        when = int(when)
-        if when < self.now:
-            raise SimulationError(f"cannot schedule in the past ({when} < {self.now})")
-        if when > self.now:
-            heapq.heappush(
-                self._queue, (when, next(self._seq), _KIND_CALL_VALUE, fn, value)
-            )
-        else:
-            self._ready.append((_KIND_CALL_VALUE, fn, value))
-
     # -- processes -------------------------------------------------------
 
     def process(self, gen: Generator, name: str = "") -> Process:
@@ -504,19 +485,6 @@ class Engine:
     def pending_events(self) -> int:
         return len(self._queue) + len(self._ready)
 
-    def next_event_time(self) -> Optional[int]:
-        """Time of the earliest queued entry, or ``None`` if the queue is
-        empty. Used by batched trace replay as a fast-forward horizon: any
-        state mutation committed strictly before this time cannot be
-        observed by (or reordered against) another actor. A pending
-        ready-deque entry runs at the current tick, so it pins the horizon
-        to ``now``.
-        """
-        if self._ready:
-            return self.now
-        queue = self._queue
-        return queue[0][0] if queue else None
-
 
 class Watchdog:
     """A feedable timeout: fires ``on_fire`` unless fed or disarmed.
@@ -630,34 +598,6 @@ class BandwidthServer:
         """The channel-free time in (float) ticks, for introspection."""
         return self._free_num / self._tick_den
 
-    def preview(self, now: int, nbytes: int) -> tuple:
-        """Delay and post-request state for a request arriving at ``now``.
-
-        Pure — commits nothing. Returns ``(delay_ticks, free_num)``;
-        pass ``free_num`` to :meth:`commit` to take the reservation.
-        Batched trace replay uses this split to price a request at a
-        projected future time before deciding whether to fast-forward.
-        """
-        den = self._tick_den
-        now_num = now * den
-        free = self._free_num
-        start = free if free > now_num else now_num
-        free = start + nbytes * self._tick_num
-        # Round half-to-even on the exact rational free/den, replicating
-        # Python round() on the (previously float) free time.
-        quot, rem = divmod(free, den)
-        twice = rem * 2
-        if twice > den or (twice == den and (quot & 1)):
-            quot += 1
-        delay = quot - now
-        return (delay if delay > 0 else 0, free)
-
-    def commit(self, free_num: int, nbytes: int) -> None:
-        """Take a reservation previously priced by :meth:`preview`."""
-        self._free_num = free_num
-        self.bytes_served += nbytes
-        self.busy_ticks += nbytes / self.bytes_per_tick
-
     def request(self, nbytes: int) -> int:
         """Reserve the channel for ``nbytes``; returns total delay in ticks.
 
@@ -666,14 +606,14 @@ class BandwidthServer:
         """
         if nbytes < 0:
             raise SimulationError("negative transfer size")
-        # Inlined preview + commit (this is the per-memory-instruction and
-        # per-DRAM-access hot path); keep in lockstep with those methods.
         now = self._engine.now
         den = self._tick_den
         now_num = now * den
         free = self._free_num
         start = free if free > now_num else now_num
         free = start + nbytes * self._tick_num
+        # Round half-to-even on the exact rational free/den, replicating
+        # Python round() on the (previously float) free time.
         quot, rem = divmod(free, den)
         twice = rem * 2
         if twice > den or (twice == den and (quot & 1)):

@@ -46,11 +46,6 @@ class TLB:
         self.capacity = entries
         # Key: (asid, base vpn, is_large). Large entries are base-aligned.
         self._entries: "OrderedDict[Tuple[int, int, bool], TLBEntry]" = OrderedDict()
-        # Residency version for the vector tier's memoized snapshots
-        # (repro.sim.batch): bumped whenever the set of cached
-        # translations changes (recency-only touches do not count).
-        self.version = 0
-        self._vec_snap = None
         stats = stats or StatDomain(name)
         self._hits = stats.counter("hits")
         self._misses = stats.counter("misses")
@@ -76,35 +71,12 @@ class TLB:
         self._hits.value += 1
         return entry
 
-    def probe(self, asid: int, vpn: int) -> Optional[Tuple[Tuple[int, int, bool], TLBEntry]]:
-        """Side-effect-free lookup for the batched-replay fast path.
-
-        Returns ``(key, entry)`` on a hit, ``None`` on a miss — without
-        touching recency or the hit/miss counters, so a caller that falls
-        back to :meth:`lookup` after a miss does not double count.
-        """
-        key = (asid, vpn, False)
-        entry = self._entries.get(key)
-        if entry is None:
-            key = (asid, vpn & ~0x1FF, True)
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-        return key, entry
-
-    def commit_hit(self, key: Tuple[int, int, bool]) -> None:
-        """Commit the hit-path side effects of :meth:`lookup` (recency
-        touch + hit counter) for a key returned by :meth:`probe`."""
-        self._entries.move_to_end(key)
-        self._hits.value += 1
-
     def insert(self, entry: TLBEntry) -> None:
         key = self._key(entry)
         if key not in self._entries and len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
         self._entries[key] = entry
         self._entries.move_to_end(key)
-        self.version += 1
 
     # -- shootdown ---------------------------------------------------------
 
@@ -113,8 +85,6 @@ class TLB:
         self._shootdowns.inc()
         hit = self._entries.pop((asid, vpn, False), None) is not None
         hit |= self._entries.pop((asid, vpn & ~0x1FF, True), None) is not None
-        if hit:
-            self.version += 1
         return hit
 
     def invalidate_asid(self, asid: int) -> int:
@@ -123,8 +93,6 @@ class TLB:
         doomed = [key for key in self._entries if key[0] == asid]
         for key in doomed:
             del self._entries[key]
-        if doomed:
-            self.version += 1
         return len(doomed)
 
     def invalidate_all(self) -> int:
@@ -132,15 +100,12 @@ class TLB:
         self._shootdowns.inc()
         count = len(self._entries)
         self._entries.clear()
-        self.version += 1
         return count
 
     def reset(self) -> None:
         """Warm-reuse reset: drop every entry without counting a shootdown
         (counters are zeroed separately through the owning StatDomain)."""
         self._entries.clear()
-        self.version += 1
-        self._vec_snap = None  # warm reuse must carry no batch state
 
     # -- introspection ------------------------------------------------------
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.accel.gpu import GPUGeometry, KernelTrace
+from repro.accel.gpu import GPU, GPUGeometry, KernelTrace
 from repro.errors import AcceleratorDisabledError, ConfigurationError
+from repro.sim import system as system_module
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.workloads.base import generate_trace
 
-from tests.util import make_system, tiny_spec
+from tests.util import ProcessPerOpGPU, make_system, tiny_spec
 
 
 def launch_system(safety=SafetyMode.BC_BCC, spec=None):
@@ -66,6 +67,37 @@ class TestKernelExecution:
         system.engine.run()
         assert done.triggered
         assert system.gpu.mem_ops < trace.total_mem_ops
+
+
+def _back_to_back_kernels(monkeypatch, gpu_cls):
+    """Launch two read-only kernels of two processes before the engine
+    runs; return the final tick and the full stats tree."""
+    monkeypatch.setattr(system_module, "GPU", gpu_cls)
+    system = make_system(SafetyMode.BC_BCC)
+    launches = []
+    for name in ("a", "b"):
+        proc = system.new_process(name)
+        system.attach_process(proc)
+        trace = generate_trace(
+            tiny_spec(write_fraction=0.0),
+            system.kernel,
+            proc,
+            system.config.threading,
+        )
+        launches.append((proc.asid, trace))
+    done = [system.gpu.launch(asid, trace) for asid, trace in launches]
+    system.engine.run()
+    assert all(d.triggered for d in done)
+    return system.engine.now, system.stats.as_dict()
+
+
+def test_second_launch_keeps_first_kernels_reads(monkeypatch):
+    """Each launch binds its own read dispatchers: kernel A's L1-hit reads
+    translate under A's ASID even when kernel B is launched before the
+    engine runs, exactly as on the Process-per-op path."""
+    reference = _back_to_back_kernels(monkeypatch, ProcessPerOpGPU)
+    flattened = _back_to_back_kernels(monkeypatch, GPU)
+    assert flattened == reference
 
 
 class TestTraceProperties:

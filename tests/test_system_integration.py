@@ -194,3 +194,30 @@ class TestFrontEndViolationReporting:
         )
         assert result is None
         assert len(system.kernel.violation_log) == 1
+
+
+def test_simulation_does_not_import_numpy():
+    """``import repro`` and a full cell run without pulling in numpy."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.sim.config import GPUThreading, SafetyMode\n"
+        "from repro.sim.runner import run_single\n"
+        "from tests.util import small_config, tiny_spec\n"
+        "run_single('tiny', SafetyMode.BC_BCC, GPUThreading.MODERATELY,\n"
+        "           seed=1, config=small_config(), spec=tiny_spec())\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    env = dict(os.environ)
+    root = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, root])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

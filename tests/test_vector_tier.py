@@ -1,48 +1,55 @@
-"""Vector/scalar equivalence for the batched execution tier (PR 10).
+"""Flattened L1 read hits are bit-identical to Process-per-op reads.
 
-The scalar per-op path is the reference oracle; ``REPRO_VECTOR=1`` must
-be *bit-identical* to it on every observable: RunResult counters,
-violation sequences, final tick, and the full per-component stats tree.
-These tests drive both modes through identical cells — including
-downgrade storms, faulting (rogue) accesses, and hand-built traces with
-horizon-violating interleavings — and compare field by field.
+When the memory path has per-CU L1 TLBs and L1 caches, ``GPU.launch``
+serves reads through the flattened L1 read-hit dispatch instead of
+spawning a ``_do_op`` process per read. The reference is the
+Process-per-op read path, selected through the same observable
+condition ``launch`` uses: :class:`tests.util.ProcessPerOpGPU` overrides
+``_do_op`` (only delegating), which keeps every read a process. Both
+paths must agree on every observable: RunResult counters, violation
+sequences, final tick, and the full per-component stats tree — across
+downgrade storms, faulting (rogue) accesses, and hand-built traces.
 
-The numpy-absence satellite rides along: with ``repro.sim.batch.np``
-stubbed to ``None`` the tier disables itself with a one-line warning and
-the scalar path still runs.
+The test names keep their original wording: "scalar" is the
+Process-per-op reference and "vector" the flattened path.
 """
 
 from __future__ import annotations
 
-import warnings
+import contextlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.accel.gpu import KernelTrace
+from repro.accel.gpu import GPU, KernelTrace
 from repro.experiments.common import _result_to_dict
-from repro.sim import batch
+from repro.sim import system as system_module
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import run_single
-from repro.sim.system import System
 from repro.workloads import base as workloads_base
 from repro.workloads.base import WorkloadSpec
 
-from tests.util import make_system, small_config, tiny_spec
+from tests.util import ProcessPerOpGPU, make_system, small_config, tiny_spec
 
 
 @pytest.fixture(autouse=True)
-def _fresh_state(monkeypatch):
-    """Deterministic tier state per test: stats cold, trace memo cold."""
-    monkeypatch.delenv("REPRO_VECTOR", raising=False)
-    batch.reset_stats()
+def _fresh_state():
+    """Cold trace memo per test."""
     workloads_base.clear_trace_cache()
     yield
     workloads_base.clear_trace_cache()
 
 
-def _run_mode(vector: bool, monkeypatch, **kwargs):
-    monkeypatch.setenv("REPRO_VECTOR", "1" if vector else "0")
+@contextlib.contextmanager
+def _gpu_class(flattened: bool):
+    """Build every System in the block with the flattened read path on
+    (the plain GPU) or off (the Process-per-op reference)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(system_module, "GPU", GPU if flattened else ProcessPerOpGPU)
+        yield
+
+
+def _run_mode(flattened: bool, **kwargs):
     defaults = dict(
         workload="tiny",
         safety=SafetyMode.BC_BCC,
@@ -55,52 +62,71 @@ def _run_mode(vector: bool, monkeypatch, **kwargs):
     workload = defaults.pop("workload")
     safety = defaults.pop("safety")
     threading = defaults.pop("threading")
-    return run_single(workload, safety, threading, **defaults)
+    with _gpu_class(flattened):
+        return run_single(workload, safety, threading, **defaults)
 
 
-def _assert_identical(scalar, vector) -> None:
-    s, v = _result_to_dict(scalar), _result_to_dict(vector)
+def _assert_identical(reference, flattened) -> None:
+    s, v = _result_to_dict(reference), _result_to_dict(flattened)
     for field_name, expected in s.items():
         assert v[field_name] == expected, (
-            f"RunResult.{field_name} diverged between scalar and vector "
-            f"paths: {v[field_name]!r} != {expected!r}"
+            f"RunResult.{field_name} diverged between the Process-per-op "
+            f"and flattened read paths: {v[field_name]!r} != {expected!r}"
         )
     assert set(s) == set(v)
 
 
 class TestScalarVectorIdentity:
     @pytest.mark.parametrize("safety", list(SafetyMode))
-    def test_every_safety_mode_is_bit_identical(self, safety, monkeypatch):
-        scalar = _run_mode(False, monkeypatch, safety=safety)
-        vector = _run_mode(True, monkeypatch, safety=safety)
-        _assert_identical(scalar, vector)
-
-    def test_highly_threaded_cell(self, monkeypatch):
-        kwargs = dict(threading=GPUThreading.HIGHLY, seed=1234)
+    def test_every_safety_mode_is_bit_identical(self, safety):
         _assert_identical(
-            _run_mode(False, monkeypatch, **kwargs),
-            _run_mode(True, monkeypatch, **kwargs),
+            _run_mode(False, safety=safety), _run_mode(True, safety=safety)
         )
 
-    def test_downgrade_storm_is_bit_identical(self, monkeypatch):
+    def test_highly_threaded_cell(self):
+        kwargs = dict(threading=GPUThreading.HIGHLY, seed=1234)
+        _assert_identical(_run_mode(False, **kwargs), _run_mode(True, **kwargs))
+
+    def test_downgrade_storm_is_bit_identical(self):
         # Downgrades quiesce the GPU mid-kernel: the flattened path must
         # observe the same fences and produce the same violations.
         kwargs = dict(downgrade_interval_cycles=2e4)
-        scalar = _run_mode(False, monkeypatch, **kwargs)
-        vector = _run_mode(True, monkeypatch, **kwargs)
-        _assert_identical(scalar, vector)
+        _assert_identical(_run_mode(False, **kwargs), _run_mode(True, **kwargs))
 
-    def test_large_pages_cell(self, monkeypatch):
+    def test_large_pages_cell(self):
         kwargs = dict(large_pages=True)
-        _assert_identical(
-            _run_mode(False, monkeypatch, **kwargs),
-            _run_mode(True, monkeypatch, **kwargs),
-        )
+        _assert_identical(_run_mode(False, **kwargs), _run_mode(True, **kwargs))
 
-    def test_vector_path_actually_ran(self, monkeypatch):
-        _run_mode(True, monkeypatch, threading=GPUThreading.HIGHLY)
-        stats = batch.STATS.as_dict()
-        assert stats["ops_flattened"] + stats["ops_batched"] > 0
+    def test_flattened_path_served_reads(self, monkeypatch):
+        """Count dispatch calls and Process fallbacks: some reads must
+        complete on the flattened path without any Process."""
+        calls = {"dispatch": 0, "fallback": 0}
+        make_dispatch = GPU._make_l1_read_dispatch
+        spawn_inline = GPU._spawn_inline
+
+        def counting_make_dispatch(gpu, cu_index, asid):
+            dispatch = make_dispatch(gpu, cu_index, asid)
+
+            def counted(payload):
+                calls["dispatch"] += 1
+                dispatch(payload)
+
+            return counted
+
+        def counting_spawn_inline(gpu, gen):
+            calls["fallback"] += 1
+            spawn_inline(gpu, gen)
+
+        monkeypatch.setattr(GPU, "_make_l1_read_dispatch", counting_make_dispatch)
+        monkeypatch.setattr(GPU, "_spawn_inline", counting_spawn_inline)
+        kwargs = dict(threading=GPUThreading.HIGHLY)
+        flattened = _run_mode(True, **kwargs)
+        assert calls["dispatch"] > calls["fallback"] > 0
+
+        calls.update(dispatch=0, fallback=0)
+        reference = _run_mode(False, **kwargs)
+        assert calls == {"dispatch": 0, "fallback": 0}
+        _assert_identical(reference, flattened)
 
 
 spec_st = st.builds(
@@ -126,29 +152,20 @@ spec_st = st.builds(
 )
 def test_random_cells_scalar_vector_identical(spec, seed, safety, downgrade):
     """Any small random cell — mixed gaps, reuse mixes, downgrade storms
-    (which inject quiesces, shootdowns, and permission violations at
-    horizon-violating times) — yields identical counters, violation
-    sequences, and final tick in both modes."""
-    import os
-
-    results = []
-    for mode in ("0", "1"):
-        os.environ["REPRO_VECTOR"] = mode
-        try:
-            batch.reset_stats()
-            results.append(
-                run_single(
-                    spec.name,
-                    safety,
-                    GPUThreading.MODERATELY,
-                    seed=seed,
-                    config=small_config(),
-                    spec=spec,
-                    downgrade_interval_cycles=downgrade,
-                )
-            )
-        finally:
-            os.environ.pop("REPRO_VECTOR", None)
+    (which inject quiesces, shootdowns, and permission violations
+    mid-kernel) — yields identical counters, violation sequences, and
+    final tick on both read paths."""
+    results = [
+        _run_mode(
+            flattened,
+            workload=spec.name,
+            safety=safety,
+            seed=seed,
+            spec=spec,
+            downgrade_interval_cycles=downgrade,
+        )
+        for flattened in (False, True)
+    ]
     _assert_identical(results[0], results[1])
 
 
@@ -178,61 +195,34 @@ op_st = st.one_of(
 )
 def test_hand_built_traces_scalar_vector_identical(wavefronts):
     """Hand-built traces — interleaved wavefronts, rogue out-of-mapping
-    probes (translation faults), writes, and gap patterns that violate
-    the batch horizon mid-run — drive both modes to the same final stats
-    tree and the same final tick."""
-    import os
-
+    probes (translation faults), writes, and arbitrary gap patterns —
+    drive both read paths to the same final stats tree and the same
+    final tick."""
     from repro.core.permissions import Perm
 
     finals = []
-    for mode in ("0", "1"):
-        os.environ["REPRO_VECTOR"] = mode
-        try:
+    for flattened in (False, True):
+        with _gpu_class(flattened):
             system = make_system(SafetyMode.BC_BCC)
-            proc = system.new_process("hand")
-            system.attach_process(proc)
-            # A real mapping so in-footprint accesses translate; rogue
-            # vaddrs above 1 TiB never do and fault through the full path.
-            base = system.kernel.mmap(proc, 256, Perm.RW)
-            cu_ops = [
-                [
-                    (
-                        gap,
-                        None
-                        if vaddr is None
-                        else (base + vaddr if vaddr < (1 << 39) else vaddr),
-                        write,
-                    )
-                    for (gap, vaddr, write) in wf
-                ]
-                for wf in wavefronts
+        proc = system.new_process("hand")
+        system.attach_process(proc)
+        # A real mapping so in-footprint accesses translate; rogue
+        # vaddrs above 1 TiB never do and fault through the full path.
+        base = system.kernel.mmap(proc, 256, Perm.RW)
+        cu_ops = [
+            [
+                (
+                    gap,
+                    None
+                    if vaddr is None
+                    else (base + vaddr if vaddr < (1 << 39) else vaddr),
+                    write,
+                )
+                for (gap, vaddr, write) in wf
             ]
-            trace = KernelTrace(name="hand", cu_wavefronts=[cu_ops])
-            system.gpu.run_kernel(proc.asid, trace)
-            finals.append((system.engine.now, system.stats.as_dict()))
-        finally:
-            os.environ.pop("REPRO_VECTOR", None)
+            for wf in wavefronts
+        ]
+        trace = KernelTrace(name="hand", cu_wavefronts=[cu_ops])
+        system.gpu.run_kernel(proc.asid, trace)
+        finals.append((system.engine.now, system.stats.as_dict()))
     assert finals[0] == finals[1]
-
-
-class TestNumpyAbsenceFallback:
-    def test_tier_disables_with_one_warning(self, monkeypatch):
-        monkeypatch.setattr(batch, "np", None)
-        monkeypatch.setattr(batch, "_warned_no_numpy", False)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert not batch.vector_enabled()
-            assert not batch.vector_enabled()  # warned exactly once
-        runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert len(runtime) == 1
-        assert "vector execution tier" in str(runtime[0].message)
-
-    def test_scalar_path_runs_without_numpy(self, monkeypatch):
-        scalar = _run_mode(False, monkeypatch)
-        monkeypatch.delenv("REPRO_VECTOR", raising=False)
-        monkeypatch.setattr(batch, "np", None)
-        monkeypatch.setattr(batch, "_warned_no_numpy", True)
-        without_numpy = _run_mode(True, monkeypatch)  # env says 1; np gone
-        _assert_identical(scalar, without_numpy)
-        assert batch.STATS.as_dict()["ops_flattened"] == 0

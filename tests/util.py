@@ -2,11 +2,25 @@
 
 from __future__ import annotations
 
+from repro.accel.gpu import GPU
 from repro.sim.config import GPUThreading, SafetyMode, SystemConfig
 from repro.sim.system import System
 from repro.workloads.base import WorkloadSpec
 
 MEM_128M = 128 * 1024 * 1024
+
+
+class ProcessPerOpGPU(GPU):
+    """A GPU that runs every read as a :meth:`GPU._do_op` process.
+
+    Overriding ``_do_op`` (here only to delegate) is the condition
+    ``GPU.launch`` observes to keep reads off the flattened L1 read-hit
+    path, so this is the Process-per-op reference that path must match
+    bit for bit.
+    """
+
+    def _do_op(self, cu_index, asid, vaddr, write):
+        return super()._do_op(cu_index, asid, vaddr, write)
 
 
 def small_config(

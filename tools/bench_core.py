@@ -6,14 +6,12 @@ dispatch, cache hit servicing, BCC lookups, bandwidth-server accounting —
 plus the end-to-end fig4 reference cell, and writes a schema-versioned
 snapshot so the performance trajectory is visible across PRs.
 
-The committed ``BENCH_core.json`` keeps three sections: ``baseline``
+The committed ``BENCH_core.json`` keeps two sections: ``baseline``
 (the pre-optimization core, recorded once with ``--record-baseline``
-before the fast-path work landed), ``current`` (the scalar oracle,
-refreshed by every ``REPRO_VECTOR=0`` run) and ``vector`` (the batched
-tier, refreshed by every ``REPRO_VECTOR=1`` run). ``--check`` compares
-a fresh end-to-end measurement against the committed section matching
-the active tier and fails on a >40% regression — the CI ``perf-smoke``
-step runs it once per tier.
+before the fast-path work landed) and ``current`` (refreshed by every
+other run). ``--check`` compares a fresh end-to-end measurement against
+``current`` and fails on a >40% regression — the CI ``perf-smoke`` step
+runs it.
 
 Usage::
 
@@ -38,7 +36,7 @@ from typing import Callable, Dict, Optional
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-BENCH_SCHEMA = "repro-core-bench-v2"
+BENCH_SCHEMA = "repro-core-bench-v3"
 DEFAULT_OUT = REPO_ROOT / "BENCH_core.json"
 
 #: ``bench_history`` keeps at most this many entries (oldest dropped).
@@ -205,8 +203,6 @@ def bench_end_to_end(quick: bool, repeats: Optional[int] = None) -> Dict[str, fl
 
 
 def measure(quick: bool) -> Dict[str, object]:
-    from repro.sim import batch
-
     out: Dict[str, object] = {
         "engine_events_per_sec": round(bench_engine(quick), 1),
         "cache_accesses_per_sec": round(bench_cache(quick), 1),
@@ -215,7 +211,6 @@ def measure(quick: bool) -> Dict[str, object]:
     }
     out.update(bench_end_to_end(quick))
     out["quick"] = quick
-    out["vector"] = batch.vector_enabled()
     return out
 
 
@@ -247,15 +242,12 @@ def _write_atomic(path: Path, payload: Dict[str, object]) -> None:
 
 
 def _history_entry(measured: Dict[str, object], section: str) -> Dict[str, object]:
-    from repro.sim import batch
-
     return {
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),
         "section": section,
         "quick": measured.get("quick", False),
-        "vector": batch.vector_enabled(),
         "sims_per_minute": measured.get("sims_per_minute"),
         "end_to_end_seconds": measured.get("end_to_end_seconds"),
         "engine_events_per_sec": measured.get("engine_events_per_sec"),
@@ -295,20 +287,10 @@ def main(argv=None) -> int:
     committed = _load(args.out)
 
     if args.check:
-        from repro.sim import batch
-
-        vector = batch.vector_enabled()
-        mode = "vector" if vector else "scalar"
         if not committed or "current" not in committed:
             print(f"no committed snapshot at {args.out}; nothing to check")
             return 1
-        # Each tier is gated against its own committed section — the
-        # vector tier against "vector", the scalar oracle against
-        # "current" — so neither mode's floor is set by the other's
-        # throughput. A snapshot without a "vector" section falls back
-        # to "current" for both.
-        section = committed.get("vector") if vector else None
-        section = section or committed["current"]
+        section = committed["current"]
         # Best-of more repeats than a snapshot run: the gate must not
         # flake when the host is in a slow scheduling phase, and the
         # quick cell is cheap enough to sample generously.
@@ -327,7 +309,7 @@ def main(argv=None) -> int:
         floor = pinned * REGRESSION_FLOOR
         status = "ok" if measured >= floor else "REGRESSION"
         print(
-            f"perf-smoke[{mode}]: fresh {measured} {metric} vs "
+            f"perf-smoke: fresh {measured} {metric} vs "
             f"committed {pinned} (floor {floor:.2f}) -> {status}"
         )
         return 0 if status == "ok" else 1
@@ -338,25 +320,11 @@ def main(argv=None) -> int:
         "reference_cell": REFERENCE_CELL,
         "baseline": (committed or {}).get("baseline"),
         "current": (committed or {}).get("current"),
-        "vector": (committed or {}).get("vector"),
     }
-    if args.record_baseline:
-        section = "baseline"
-    elif measured["vector"]:
-        # The vector tier gets its own section: "current" always means
-        # the scalar oracle, so scalar regressions can't hide behind
-        # vector wins (and vice versa).
-        section = "vector"
-    else:
-        section = "current"
+    section = "baseline" if args.record_baseline else "current"
     payload[section] = measured
     if payload["baseline"] and payload["current"]:
         payload["speedup"] = _speedups(payload["baseline"], payload["current"])
-    if payload.get("current") and payload.get("vector"):
-        cur = payload["current"].get("sims_per_minute")
-        vec = payload["vector"].get("sims_per_minute")
-        if cur and vec:
-            payload["vector_speedup"] = round(vec / cur, 3)
     # The perf trajectory stays machine-readable across runs instead of
     # being overwritten: every measurement appends a timestamped entry.
     history = list((committed or {}).get("bench_history") or [])

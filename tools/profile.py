@@ -82,14 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dump", type=Path, default=None,
         help="also write raw pstats data to this path",
     )
-    parser.add_argument(
-        "--vector", dest="vector", action="store_true", default=None,
-        help="force the vectorized tier on (REPRO_VECTOR=1) for this run",
-    )
-    parser.add_argument(
-        "--no-vector", dest="vector", action="store_false",
-        help="force the scalar oracle (REPRO_VECTOR=0) for this run",
-    )
     return parser
 
 
@@ -152,20 +144,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
 
-    if args.vector is not None:
-        # vector_enabled() re-reads the env on every kernel launch, so
-        # setting it here is enough — no repro import-order concerns.
-        os.environ["REPRO_VECTOR"] = "1" if args.vector else "0"
-
-    from repro.sim import batch
     from repro.sim.config import GPUThreading, SafetyMode
     from repro.sim.runner import run_single
 
-    batch.reset_stats()
     cell = (
         f"{args.workload}/{args.safety}/{args.threading} "
-        f"seed={args.seed} ops_scale={args.ops_scale} "
-        f"vector={'on' if batch.vector_enabled() else 'off'}"
+        f"seed={args.seed} ops_scale={args.ops_scale}"
     )
     print(f"profiling {cell} ...", flush=True)
 
@@ -187,19 +171,7 @@ def main(argv=None) -> int:
 
     print(
         f"\ncell ran: {result.mem_ops} mem ops, "
-        f"{result.gpu_cycles:.0f} GPU cycles, wall {stats.total_tt:.3f}s"
-    )
-    # Scalar-fallback telemetry: when the horizon guard (or a miss/write/
-    # perm/mlp condition) aborts batches, future PRs can see whether the
-    # guard has become the bottleneck.
-    bstats = batch.STATS.as_dict()
-    attempted = bstats["batches_attempted"]
-    print(
-        f"vector tier: {bstats['ops_flattened']} ops flattened, "
-        f"{bstats['ops_batched']} ops batched in "
-        f"{bstats['batches_committed']}/{attempted} batches, "
-        f"fallback rate {bstats['fallback_rate']:.2%} "
-        f"(aborted/attempted), fallbacks {bstats['fallbacks']}\n"
+        f"{result.gpu_cycles:.0f} GPU cycles, wall {stats.total_tt:.3f}s\n"
     )
     print(f"== top {args.top} by {args.sort} " + "=" * 40)
     stats.sort_stats(args.sort).print_stats(args.top)
