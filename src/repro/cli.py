@@ -44,6 +44,7 @@ explicit gaps for failed cells instead of aborting.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import List, Optional
 
@@ -372,20 +373,11 @@ def _replay_cell(
         file=sys.stderr,
     )
 
-    if kind == "sweep":
-        from repro.sim.runner import run_single
-        from repro.sweep import Cell
+    from repro.sweep import CAMPAIGNS, Cell, sweep_campaign
 
+    if kind == "sweep":
         cell = Cell.from_dict(bundle["cell"])
-        result = run_single(
-            cell.workload,
-            cell.safety,
-            cell.threading,
-            seed=cell.seed,
-            ops_scale=cell.ops_scale,
-            record_border=cell.record_border,
-            downgrade_interval_cycles=cell.downgrade_interval_cycles,
-        )
+        result, _hit = sweep_campaign(fresh=True).run(cell)
         if args.json:
             from repro.experiments.common import _result_to_dict
 
@@ -396,24 +388,15 @@ def _replay_cell(
               file=sys.stderr)
         return 0
 
-    if kind == "chaos":
-        from repro.faults import FaultKind
-        from repro.sim.runner import chaos_result_to_dict, run_chaos_single
-
-        spec = bundle["cell"]
-        run = run_chaos_single(
-            spec["workload"],
-            [FaultKind(k) for k in spec["kinds"]],
-            seed=spec["seed"],
-            ops_scale=spec["ops_scale"],
-        )
+    if kind in CAMPAIGNS:
+        campaign = CAMPAIGNS[kind]
+        cell = bundle["cell"]
+        run = campaign.run(cell)
         if args.json:
-            print(json.dumps(chaos_result_to_dict(run), indent=2))
+            print(json.dumps(campaign.to_dict(cell, run), indent=2))
         else:
-            print(f"workload:       {run.workload}")
-            print(f"fault kinds:    {', '.join(run.kinds)}")
+            print(f"cell:           {campaign.label(cell)}")
             print(f"seed:           {run.seed}")
-            print(f"faults:         {run.result.faults_injected}")
             print(f"ok:             {run.ok}")
         print("replay completed without error (failure did not reproduce)",
               file=sys.stderr)
@@ -439,28 +422,6 @@ def _replay_cell(
         print("replay completed without error (failure did not reproduce)",
               file=sys.stderr)
         return 0
-
-    if kind == "recovery":
-        from repro.recovery import recovery_result_to_dict, run_recovery_single
-
-        spec = bundle["cell"]
-        run = run_recovery_single(
-            spec["workload"],
-            spec["scenario"],
-            seed=spec["seed"],
-            ops_scale=spec["ops_scale"],
-        )
-        if args.json:
-            print(json.dumps(recovery_result_to_dict(run), indent=2))
-        else:
-            print(f"workload:       {run.workload}")
-            print(f"scenario:       {run.scenario}")
-            print(f"seed:           {run.seed}")
-            print(f"outcome:        {run.outcome}")
-            print(f"ok:             {run.ok}")
-        print("replay completed without error (failure did not reproduce)",
-              file=sys.stderr)
-        return 0 if run.ok else 1
 
     parser.error(f"bundle kind {kind!r} is not replayable")
     return 2  # pragma: no cover
@@ -834,48 +795,31 @@ def _dispatch(
         )
         return 0
 
-    if args.command == "chaos":
+    if args.command in ("chaos", "recovery"):
         from repro.faults import FaultKind
+        from repro.recovery import RECOVERY_SCENARIOS, run_recovery_campaign
         from repro.sim.runner import run_chaos_campaign
 
-        kinds = None
-        if args.fault_types:
-            try:
-                kinds = [FaultKind(name) for name in args.fault_types]
-            except ValueError as exc:
-                parser.error(str(exc))
-        report = run_chaos_campaign(
-            workloads=args.workloads,
-            kinds=kinds,
-            seed=args.seed,
-            ops_scale=ops_scale,
-            quick=args.quick,
-            workers=_workers(args),
-            journal=journal,
-        )
-        if args.json:
-            import json
-
-            print(json.dumps(report.to_dict(), indent=2))
+        if args.command == "chaos":
+            kinds = None
+            if args.fault_types:
+                try:
+                    kinds = [FaultKind(name) for name in args.fault_types]
+                except ValueError as exc:
+                    parser.error(str(exc))
+            entry = functools.partial(run_chaos_campaign, kinds=kinds)
         else:
-            print(report.render())
-        return 0 if report.ok else 1
-
-    if args.command == "recovery":
-        from repro.recovery import RECOVERY_SCENARIOS, run_recovery_campaign
-
-        scenarios = None
-        if args.scenarios:
-            unknown = [s for s in args.scenarios if s not in RECOVERY_SCENARIOS]
+            unknown = [s for s in args.scenarios or () if s not in RECOVERY_SCENARIOS]
             if unknown:
                 parser.error(
                     f"unknown recovery scenario(s) {unknown}; "
                     f"choose from {list(RECOVERY_SCENARIOS)}"
                 )
-            scenarios = args.scenarios
-        report = run_recovery_campaign(
+            entry = functools.partial(
+                run_recovery_campaign, scenarios=args.scenarios or None
+            )
+        report = entry(
             workloads=args.workloads,
-            scenarios=scenarios,
             seed=args.seed,
             ops_scale=ops_scale,
             quick=args.quick,

@@ -132,13 +132,15 @@ class TransientCellError(ReproError):
 
 
 class SweepError(ReproError):
-    """One or more cells of a parallel sweep failed.
+    """One or more cells of a sweep or campaign failed.
 
-    ``outcomes`` (when provided) carries the per-cell outcomes of the
-    whole sweep — including every *successful* cell — so callers can
-    salvage partial results instead of losing the run. The element type
-    depends on the producer: :class:`repro.sweep.CellOutcome` for grid
-    sweeps, supervisor task outcomes for chaos campaigns.
+    ``failures`` holds one ``"<label>: <error>"`` line per failed cell.
+    ``outcomes`` (when provided) lets callers salvage partial results
+    instead of losing the run. :meth:`repro.sweep.SweepReport.raise_failures`
+    passes every :class:`repro.sweep.CellOutcome`, failed ones included;
+    :func:`repro.sweep.run_campaign` (chaos and recovery campaigns)
+    passes the surviving cell values only — ``ChaosRunResult`` or
+    ``RecoveryRunResult`` objects — in grid order.
     """
 
     def __init__(self, failures, outcomes=None) -> None:

@@ -57,8 +57,8 @@ from repro.faults.plan import FaultPlan
 from repro.fleet import protocol
 from repro.fleet.transport import FaultyTransport, FrameTransport
 from repro.service.wire import WireError
-from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT
-from repro.sweep import Cell
+from repro.supervisor import ERROR_CRASH, ERROR_TRANSIENT, TaskOutcome
+from repro.sweep import Cell, journal_entry
 
 __all__ = ["FleetCoordinator"]
 
@@ -459,20 +459,18 @@ class FleetCoordinator:
             self._finalize(
                 camp,
                 lease.index,
-                {
-                    "label": camp.cells[lease.index].label,
-                    "ok": False,
-                    "error": (
+                journal_entry(
+                    camp.cells[lease.index].label,
+                    TaskOutcome(
+                        None,
                         f"FleetError: lease expired {charge} times "
-                        f"(last: {reason}); cell abandoned as poison"
+                        f"(last: {reason}); cell abandoned as poison",
+                        0.0,
+                        charge,
+                        ERROR_CRASH,
                     ),
-                    "error_kind": ERROR_CRASH,
-                    "wall_seconds": 0.0,
-                    "attempts": charge,
-                    "cacheable": camp.cells[lease.index].cacheable,
-                    "cache_hit": False,
-                    "result": None,
-                },
+                    None,
+                ),
             )
         else:
             self.stats["reassigned"] += 1

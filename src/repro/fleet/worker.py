@@ -47,8 +47,14 @@ from repro.fleet import protocol
 from repro.fleet.transport import FrameTransport
 from repro.journal import JournalShard
 from repro.service.wire import WireError
-from repro.supervisor import ERROR_CRASH, traced_call
-from repro.sweep import Cell, _run_cell, _worker_init
+from repro.supervisor import ERROR_CRASH, TaskOutcome, traced_call
+from repro.sweep import (
+    Cell,
+    _run_cell,
+    _worker_init,
+    journal_entry,
+    sweep_campaign,
+)
 
 __all__ = ["FleetWorker", "sanitize_worker_id"]
 
@@ -84,6 +90,7 @@ class FleetWorker:
         self._campaign_id: Optional[str] = None
         self._campaign_digest: Optional[str] = None
         self._cells: Tuple[Cell, ...] = ()
+        self._campaign = sweep_campaign()
         self._heartbeat_seconds = protocol.DEFAULT_HEARTBEAT_SECONDS
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_args: Tuple = ()
@@ -236,8 +243,10 @@ class FleetWorker:
         self._campaign_id = campaign_id
         self._campaign_digest = digest
         self._cells = tuple(Cell.from_dict(d) for d in frame.get("cells", []))
-        use_disk = bool(frame.get("use_disk", True))
-        fresh = bool(frame.get("fresh", False))
+        self._campaign = sweep_campaign(
+            use_disk=bool(frame.get("use_disk", True)),
+            fresh=bool(frame.get("fresh", False)),
+        )
         self._leases = {}
         self._running = set()
         self._done = {}
@@ -247,7 +256,7 @@ class FleetWorker:
         # workers are pinned to this host's resolved cache dir.
         cache_dir = str(Path(common._cache_dir()).resolve())
         grid_blob = pickle.dumps(
-            (self._cells, use_disk, fresh), protocol=pickle.HIGHEST_PROTOCOL
+            (self._cells, self._campaign.run), protocol=pickle.HIGHEST_PROTOCOL
         )
         self._pool_args = (cache_dir, grid_blob, True)
         self._pool = self._new_pool()
@@ -345,23 +354,11 @@ class FleetWorker:
             return
         value, error, wall, kind = outcome
         cell = self._cells[index]
-        result_payload = None
-        cache_hit = False
-        if error is None and value is not None and cell.cacheable:
-            result_payload = common._result_to_dict(value[0])
-            cache_hit = bool(value[1])
-        entry = {
-            "label": cell.label,
-            "ok": error is None,
-            "error": error,
-            "error_kind": kind,
-            "wall_seconds": round(wall, 6),
-            "attempts": 1,
-            "cacheable": cell.cacheable,
-            "cache_hit": cache_hit,
-            "result": result_payload,
-            "worker": self.worker_id,
-        }
+        out = TaskOutcome(value, error, wall, 1, kind)
+        result = self._campaign.to_dict(cell, value) if out.ok else None
+        entry = journal_entry(cell.label, out, result)
+        entry["cache_hit"] = bool(out.ok and value[1])
+        entry["worker"] = self.worker_id
         key = cell.journal_key()
         seq = None
         if self._shard is not None:

@@ -52,7 +52,14 @@ from repro.accel.gpu import GPUGeometry, KernelTrace
 from repro.mem.address import BLOCK_SIZE, PAGE_SIZE
 from repro.osmodel.kernel import ViolationPolicy
 from repro.sim.config import GPUThreading, SafetyMode, SystemConfig
-from repro.sim.runner import _SECRET, RunResult, collect_result
+from repro.sim.runner import (
+    _SECRET,
+    RunResult,
+    _run_record_from_dict,
+    _run_record_to_dict,
+    _spec_key,
+    collect_result,
+)
 from repro.sim.system import GPU_ID, System
 from repro.workloads.base import WorkloadSpec, generate_trace
 from repro.workloads.registry import get_workload
@@ -67,6 +74,7 @@ __all__ = [
     "run_recovery_campaign",
     "recovery_grid",
     "recovery_cell_key",
+    "recovery_cell_spec",
     "recovery_result_to_dict",
     "recovery_result_from_dict",
     "DEFAULT_RECOVERY_WORKLOADS",
@@ -756,26 +764,24 @@ def recovery_grid(
     return cells
 
 
-def _recovery_cell(kwargs: Dict[str, object]) -> RecoveryRunResult:
-    """Picklable worker entry point for one recovery grid cell."""
-    return run_recovery_single(**kwargs)  # type: ignore[arg-type]
+def recovery_cell_spec(cell: Dict[str, object]) -> Dict[str, object]:
+    """The JSON recipe of one recovery cell (journal key, bundle, replay)."""
+    return {
+        "workload": cell["workload"],
+        "scenario": cell["scenario"],
+        "seed": cell["seed"],
+        "ops_scale": cell["ops_scale"],
+    }
+
+
+def _recovery_cell(cell: Dict[str, object]) -> RecoveryRunResult:
+    """Picklable worker entry point for one recovery grid cell or recipe."""
+    return run_recovery_single(**recovery_cell_spec(cell))  # type: ignore[arg-type]
 
 
 def recovery_cell_key(cell: Dict[str, object]) -> str:
     """Stable journal/bundle key for one recovery grid cell."""
-    import hashlib
-    import json
-
-    blob = json.dumps(
-        {
-            "workload": cell["workload"],
-            "scenario": cell["scenario"],
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-        sort_keys=True,
-    )
-    return "recovery-" + hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return _spec_key("recovery", recovery_cell_spec(cell))
 
 
 def _recovery_cell_label(cell: Dict[str, object]) -> str:
@@ -784,79 +790,12 @@ def _recovery_cell_label(cell: Dict[str, object]) -> str:
 
 def recovery_result_to_dict(run: RecoveryRunResult) -> Dict[str, object]:
     """Lossless JSON form of one recovery run (journal checkpointing)."""
-    from repro.experiments.common import _result_to_dict  # local: avoids cycle
-
-    return {
-        "workload": run.workload,
-        "scenario": run.scenario,
-        "seed": run.seed,
-        "result": _result_to_dict(run.result),
-        "plan_signature": [list(sig) for sig in run.plan_signature],
-        "fault_counts": dict(run.fault_counts),
-        "trace_ops": run.trace_ops,
-        "outcome": run.outcome,
-        "victim_alive": run.victim_alive,
-        "victim_exit_reason": run.victim_exit_reason,
-        "rogue_writes": run.rogue_writes,
-        "rogue_conf_escapes": run.rogue_conf_escapes,
-        "rogue_integ_escapes": run.rogue_integ_escapes,
-        "replayed": run.replayed,
-        "replay_commits": run.replay_commits,
-        "secret_intact": run.secret_intact,
-        "resets": run.resets,
-        "watchdog_fires": run.watchdog_fires,
-        "tenant_iterations": run.tenant_iterations,
-        "tenant_baseline_ticks": run.tenant_baseline_ticks,
-        "tenant_max_iteration_ticks": run.tenant_max_iteration_ticks,
-        "tenant_tolerance": run.tenant_tolerance,
-    }
+    return _run_record_to_dict(run)
 
 
 def recovery_result_from_dict(data: Dict[str, object]) -> RecoveryRunResult:
     """Inverse of :func:`recovery_result_to_dict`."""
-    from repro.experiments.common import _result_from_dict  # local: avoids cycle
-
-    return RecoveryRunResult(
-        workload=data["workload"],  # type: ignore[arg-type]
-        scenario=data["scenario"],  # type: ignore[arg-type]
-        seed=data["seed"],  # type: ignore[arg-type]
-        result=_result_from_dict(data["result"]),  # type: ignore[arg-type]
-        plan_signature=tuple(
-            tuple(sig) for sig in data["plan_signature"]  # type: ignore[union-attr]
-        ),
-        fault_counts=dict(data["fault_counts"]),  # type: ignore[arg-type]
-        trace_ops=data["trace_ops"],  # type: ignore[arg-type]
-        outcome=data["outcome"],  # type: ignore[arg-type]
-        victim_alive=data["victim_alive"],  # type: ignore[arg-type]
-        victim_exit_reason=data["victim_exit_reason"],  # type: ignore[arg-type]
-        rogue_writes=data["rogue_writes"],  # type: ignore[arg-type]
-        rogue_conf_escapes=data["rogue_conf_escapes"],  # type: ignore[arg-type]
-        rogue_integ_escapes=data["rogue_integ_escapes"],  # type: ignore[arg-type]
-        replayed=data["replayed"],  # type: ignore[arg-type]
-        replay_commits=data["replay_commits"],  # type: ignore[arg-type]
-        secret_intact=data["secret_intact"],  # type: ignore[arg-type]
-        resets=data["resets"],  # type: ignore[arg-type]
-        watchdog_fires=data["watchdog_fires"],  # type: ignore[arg-type]
-        tenant_iterations=data["tenant_iterations"],  # type: ignore[arg-type]
-        tenant_baseline_ticks=data["tenant_baseline_ticks"],  # type: ignore[arg-type]
-        tenant_max_iteration_ticks=data["tenant_max_iteration_ticks"],  # type: ignore[arg-type]
-        tenant_tolerance=data.get("tenant_tolerance", 8.0),  # type: ignore[arg-type]
-    )
-
-
-def _describe_recovery_task(cell) -> Optional[Dict[str, object]]:
-    """Repro-bundle recipe for a recovery cell (``replay-cell`` consumes it)."""
-    if not isinstance(cell, dict):
-        return None
-    return {
-        "kind": "recovery",
-        "cell": {
-            "workload": cell["workload"],
-            "scenario": cell["scenario"],
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-    }
+    return _run_record_from_dict(RecoveryRunResult, data)
 
 
 def run_recovery_campaign(
@@ -865,102 +804,35 @@ def run_recovery_campaign(
     seed: int = 1234,
     ops_scale: float = 1.0,
     quick: bool = False,
-    config: Optional[SystemConfig] = None,
     workers: Optional[int] = 1,
     policy=None,
     journal=None,
     should_abort=None,
+    progress=None,
 ) -> RecoveryReport:
     """Sweep recovery scenarios across workloads; returns the report.
 
-    Mirrors :func:`repro.sim.runner.run_chaos_campaign`: per-cell
-    sub-seeding makes the report signature-identical whatever the
-    execution order or worker count; with a ``journal`` every finished
-    run is checkpointed and an interrupted campaign resumes with zero
-    re-execution. ``policy`` here is the *supervisor* policy forwarded
-    to :func:`repro.sweep.fan_out` (the recovery retry policy is a
-    per-run :class:`RecoveryPolicy`).
+    The grid comes from :func:`recovery_grid` and runs through
+    :func:`repro.sweep.run_campaign`, exactly like
+    :func:`repro.sim.runner.run_chaos_campaign`: per-cell sub-seeding
+    makes the report signature-identical whatever the execution order
+    or worker count, a ``journal`` makes it resumable with zero
+    re-execution, and failures and aborts raise the same way at every
+    worker count. ``policy`` here is the *supervisor* policy (the
+    recovery retry policy is a per-run :class:`RecoveryPolicy`).
     """
+    from repro.sweep import RECOVERY, run_campaign  # local: avoids cycle
+
     cells = recovery_grid(
         workloads, scenarios, seed=seed, ops_scale=ops_scale, quick=quick
     )
-    if config is not None:
-        for cell in cells:
-            cell["config"] = config
-    report = RecoveryReport(seed=seed)
-
-    runs: List[Optional[RecoveryRunResult]] = [None] * len(cells)
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        entry = journal.completed(recovery_cell_key(cell)) if journal else None
-        if entry is not None and entry.get("result") is not None:
-            runs[i] = recovery_result_from_dict(entry["result"])
-        else:
-            pending.append(i)
-
-    def record(task_index: int, ok: bool, error, wall: float, result) -> None:
-        if journal is None:
-            return
-        cell = cells[pending[task_index]]
-        journal.record(
-            recovery_cell_key(cell),
-            {
-                "label": _recovery_cell_label(cell),
-                "ok": ok,
-                "error": error,
-                "wall_seconds": round(wall, 6),
-                "cacheable": False,
-                "result": recovery_result_to_dict(result) if ok else None,
-            },
-        )
-
-    if workers is not None and workers <= 1:
-        import time as _time
-
-        from repro.errors import JobCancelled
-
-        for task_index, i in enumerate(pending):
-            if should_abort is not None and should_abort():
-                raise JobCancelled("recovery campaign aborted between cells")
-            t0 = _time.perf_counter()
-            result = _recovery_cell(cells[i])
-            runs[i] = result
-            record(task_index, True, None, _time.perf_counter() - t0, result)
-        report.runs.extend(runs)  # type: ignore[arg-type]
-        return report
-    from repro.sweep import SweepError, fan_out  # local: avoids cycle
-
-    def on_outcome(task_index: int, out) -> None:
-        record(task_index, out.ok, out.error, out.wall_seconds, out.value)
-
-    def dispatch():
-        return fan_out(
-            _recovery_cell,
-            [cells[i] for i in pending],
-            workers=workers,
-            label_of=_recovery_cell_label,
-            policy=policy,
-            describe_task=_describe_recovery_task,
-            on_outcome=on_outcome,
-            should_abort=should_abort,
-        )
-
-    if pending:
-        if journal is not None:
-            with journal.signal_guard():
-                outcomes, _mode = dispatch()
-        else:
-            outcomes, _mode = dispatch()
-        for i, out in zip(pending, outcomes):
-            runs[i] = out.value
-        if should_abort is not None and should_abort():
-            from repro.errors import JobCancelled
-
-            raise JobCancelled("recovery campaign aborted mid-sweep")
-        failures = [out.error for out in outcomes if out.error]
-        if failures:
-            raise SweepError(
-                failures, outcomes=[run for run in runs if run is not None]
-            )
-    report.runs.extend(runs)  # type: ignore[arg-type]
-    return report
+    outcomes, _mode = run_campaign(
+        RECOVERY,
+        cells,
+        workers=workers,
+        policy=policy,
+        journal=journal,
+        should_abort=should_abort,
+        progress=progress,
+    )
+    return RecoveryReport(seed=seed, runs=[out.value for out in outcomes])

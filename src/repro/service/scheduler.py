@@ -29,6 +29,7 @@ report, the service-level twin of ``--allow-partial``.
 from __future__ import annotations
 
 import asyncio
+import functools
 import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -132,50 +133,41 @@ def _execute_sweep(
     }
 
 
-def _execute_chaos(
-    job: Job, journal: RunJournal, should_abort: Callable[[], bool]
+def _execute_campaign(
+    job: Job,
+    journal: RunJournal,
+    should_abort: Callable[[], bool],
+    progress: Optional[Callable[[int, int, str, Optional[str]], None]],
 ) -> Dict[str, Any]:
+    """Chaos and recovery jobs: the kind picks the entry point and its
+    one kind-specific parameter; everything else is shared."""
     from repro.faults import FaultKind
+    from repro.recovery import run_recovery_campaign
     from repro.sim.runner import run_chaos_campaign
 
     params = job.spec.params
-    kinds = None
-    if params.get("fault_types"):
-        kinds = [FaultKind(name) for name in params["fault_types"]]
-    report = run_chaos_campaign(
+    if job.spec.kind == "chaos":
+        names = params.get("fault_types")
+        entry = functools.partial(
+            run_chaos_campaign,
+            kinds=[FaultKind(name) for name in names] if names else None,
+        )
+    else:
+        entry = functools.partial(
+            run_recovery_campaign, scenarios=params.get("scenarios")
+        )
+    report = entry(
         workloads=params.get("workloads"),
-        kinds=kinds,
         seed=int(params.get("seed", 1234)),
         ops_scale=float(params.get("ops_scale", 1.0)),
         quick=bool(params.get("quick", False)),
         workers=job.spec.workers,
         journal=journal,
         should_abort=should_abort,
+        progress=progress,
     )
     payload = report.to_dict()
-    payload["kind"] = "chaos"
-    payload["failures"] = report.invariant_failures()
-    return payload
-
-
-def _execute_recovery(
-    job: Job, journal: RunJournal, should_abort: Callable[[], bool]
-) -> Dict[str, Any]:
-    from repro.recovery import run_recovery_campaign
-
-    params = job.spec.params
-    report = run_recovery_campaign(
-        workloads=params.get("workloads"),
-        scenarios=params.get("scenarios"),
-        seed=int(params.get("seed", 1234)),
-        ops_scale=float(params.get("ops_scale", 1.0)),
-        quick=bool(params.get("quick", False)),
-        workers=job.spec.workers,
-        journal=journal,
-        should_abort=should_abort,
-    )
-    payload = report.to_dict()
-    payload["kind"] = "recovery"
+    payload["kind"] = job.spec.kind
     payload["failures"] = report.invariant_failures()
     return payload
 
@@ -221,10 +213,8 @@ def execute_job(
     try:
         if job.spec.kind == "sweep":
             return _execute_sweep(job, journal, should_abort, progress, fleet=fleet)
-        if job.spec.kind == "chaos":
-            return _execute_chaos(job, journal, should_abort)
-        if job.spec.kind == "recovery":
-            return _execute_recovery(job, journal, should_abort)
+        if job.spec.kind in ("chaos", "recovery"):
+            return _execute_campaign(job, journal, should_abort, progress)
         raise ValueError(f"unknown job kind {job.spec.kind!r}")
     finally:
         journal.close()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.accel.gpu import GPUGeometry, KernelTrace
@@ -47,6 +47,7 @@ __all__ = [
     "run_chaos_single",
     "run_chaos_campaign",
     "chaos_cell_key",
+    "chaos_cell_spec",
     "chaos_grid",
     "chaos_result_from_dict",
     "chaos_result_to_dict",
@@ -796,7 +797,6 @@ def chaos_grid(
     kinds: Optional[Sequence[FaultKind]] = None,
     seed: int = 1234,
     ops_scale: float = 1.0,
-    per_kind: bool = True,
     quick: bool = False,
 ) -> List[Dict[str, object]]:
     """The campaign's declarative grid: one kwargs dict per chaos run.
@@ -812,10 +812,8 @@ def chaos_grid(
         ops_scale = min(ops_scale, 0.25)
     cells: List[Dict[str, object]] = []
     for workload in workloads:
-        mixes: List[List[FaultKind]] = []
-        if per_kind:
-            mixes.extend([kind] for kind in kinds)
-        if len(kinds) > 1 or not per_kind:
+        mixes: List[List[FaultKind]] = [[kind] for kind in kinds]
+        if len(kinds) > 1:
             mixes.append(list(kinds))
         for mix in mixes:
             mix_name = "+".join(kind.value for kind in mix)
@@ -830,97 +828,82 @@ def chaos_grid(
     return cells
 
 
-def _chaos_cell(kwargs: Dict[str, object]) -> ChaosRunResult:
-    """Picklable worker entry point for one chaos grid cell."""
-    return run_chaos_single(**kwargs)  # type: ignore[arg-type]
+def chaos_cell_spec(cell: Dict[str, object]) -> Dict[str, object]:
+    """The JSON recipe of one chaos cell (journal key, bundle, replay).
+
+    Accepts a :func:`chaos_grid` cell or a recipe alike (``kinds`` as
+    :class:`FaultKind` members or their names), so it is idempotent.
+    """
+    return {
+        "workload": cell["workload"],
+        "kinds": [FaultKind(k).value for k in cell["kinds"]],  # type: ignore[union-attr]
+        "seed": cell["seed"],
+        "ops_scale": cell["ops_scale"],
+    }
+
+
+def _spec_key(prefix: str, spec: Dict[str, object]) -> str:
+    """A stable journal key: ``prefix`` plus a hash of the JSON recipe."""
+    import hashlib
+    import json
+
+    blob = json.dumps(spec, sort_keys=True)
+    return f"{prefix}-" + hashlib.sha256(blob.encode()).hexdigest()[:24]
+
+
+def _chaos_cell(cell: Dict[str, object]) -> ChaosRunResult:
+    """Picklable worker entry point for one chaos grid cell or recipe."""
+    spec = chaos_cell_spec(cell)
+    return run_chaos_single(
+        spec["workload"],  # type: ignore[arg-type]
+        [FaultKind(k) for k in spec["kinds"]],  # type: ignore[union-attr]
+        seed=spec["seed"],  # type: ignore[arg-type]
+        ops_scale=spec["ops_scale"],  # type: ignore[arg-type]
+    )
 
 
 def chaos_cell_key(cell: Dict[str, object]) -> str:
     """Stable journal/bundle key for one chaos grid cell."""
-    import hashlib
-    import json
-
-    blob = json.dumps(
-        {
-            "workload": cell["workload"],
-            "kinds": [k.value for k in cell["kinds"]],  # type: ignore[union-attr]
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-        sort_keys=True,
-    )
-    return "chaos-" + hashlib.sha256(blob.encode()).hexdigest()[:24]
+    return _spec_key("chaos", chaos_cell_spec(cell))
 
 
 def _chaos_cell_label(cell: Dict[str, object]) -> str:
-    return "{}[{}]".format(
-        cell["workload"],
-        "+".join(k.value for k in cell["kinds"]),  # type: ignore[union-attr]
+    spec = chaos_cell_spec(cell)
+    return "{}[{}]".format(spec["workload"], "+".join(spec["kinds"]))  # type: ignore[arg-type]
+
+
+def _run_record_to_dict(run) -> Dict[str, object]:
+    """Lossless JSON form of a chaos or recovery run (journal checkpoints)."""
+    from repro.experiments.common import _result_to_dict  # local: avoids cycle
+
+    out = {f.name: getattr(run, f.name) for f in fields(run)}
+    out["result"] = _result_to_dict(run.result)
+    out["plan_signature"] = [list(sig) for sig in run.plan_signature]
+    return out
+
+
+def _run_record_from_dict(cls, data: Dict[str, object]):
+    """Inverse of :func:`_run_record_to_dict` for the record class ``cls``."""
+    from repro.experiments.common import _result_from_dict  # local: avoids cycle
+
+    data = dict(data)
+    data["result"] = _result_from_dict(data["result"])  # type: ignore[arg-type]
+    data["plan_signature"] = tuple(
+        tuple(sig) for sig in data["plan_signature"]  # type: ignore[union-attr]
     )
+    return cls(**data)
 
 
 def chaos_result_to_dict(run: ChaosRunResult) -> Dict[str, object]:
     """Lossless JSON form of one chaos run (journal checkpointing)."""
-    from repro.experiments.common import _result_to_dict  # local: avoids cycle
-
-    out = _chaos_run_fields(run)
-    out["result"] = _result_to_dict(run.result)
-    return out
-
-
-def _chaos_run_fields(run: ChaosRunResult) -> Dict[str, object]:
-    return {
-        "workload": run.workload,
-        "kinds": list(run.kinds),
-        "seed": run.seed,
-        "plan_signature": [list(sig) for sig in run.plan_signature],
-        "fault_counts": dict(run.fault_counts),
-        "trace_ops": run.trace_ops,
-        "probes": run.probes,
-        "conf_escapes": run.conf_escapes,
-        "integ_escapes": run.integ_escapes,
-        "secret_intact": run.secret_intact,
-        "completed": run.completed,
-        "hangs_released": run.hangs_released,
-    }
+    return _run_record_to_dict(run)
 
 
 def chaos_result_from_dict(data: Dict[str, object]) -> ChaosRunResult:
     """Rehydrate a journaled chaos run; inverse of :func:`chaos_result_to_dict`."""
-    from repro.experiments.common import _result_from_dict  # local: avoids cycle
-
-    return ChaosRunResult(
-        workload=data["workload"],  # type: ignore[arg-type]
-        kinds=tuple(data["kinds"]),  # type: ignore[arg-type]
-        seed=data["seed"],  # type: ignore[arg-type]
-        result=_result_from_dict(data["result"]),  # type: ignore[arg-type]
-        plan_signature=tuple(
-            tuple(sig) for sig in data["plan_signature"]  # type: ignore[union-attr]
-        ),
-        fault_counts=dict(data["fault_counts"]),  # type: ignore[arg-type]
-        trace_ops=data["trace_ops"],  # type: ignore[arg-type]
-        probes=data["probes"],  # type: ignore[arg-type]
-        conf_escapes=data["conf_escapes"],  # type: ignore[arg-type]
-        integ_escapes=data["integ_escapes"],  # type: ignore[arg-type]
-        secret_intact=data["secret_intact"],  # type: ignore[arg-type]
-        completed=data["completed"],  # type: ignore[arg-type]
-        hangs_released=data["hangs_released"],  # type: ignore[arg-type]
+    return _run_record_from_dict(
+        ChaosRunResult, dict(data, kinds=tuple(data["kinds"]))  # type: ignore[arg-type]
     )
-
-
-def _describe_chaos_task(cell) -> Optional[Dict[str, object]]:
-    """Repro-bundle recipe for a chaos cell (``replay-cell`` consumes it)."""
-    if not isinstance(cell, dict):
-        return None
-    return {
-        "kind": "chaos",
-        "cell": {
-            "workload": cell["workload"],
-            "kinds": [k.value for k in cell["kinds"]],
-            "seed": cell["seed"],
-            "ops_scale": cell["ops_scale"],
-        },
-    }
 
 
 def run_chaos_campaign(
@@ -928,118 +911,38 @@ def run_chaos_campaign(
     kinds: Optional[Sequence[FaultKind]] = None,
     seed: int = 1234,
     ops_scale: float = 1.0,
-    per_kind: bool = True,
     quick: bool = False,
-    config: Optional[SystemConfig] = None,
     workers: Optional[int] = 1,
     policy=None,
     journal=None,
     should_abort=None,
+    progress=None,
 ) -> ChaosReport:
     """Sweep fault kinds across workloads; returns the invariant report.
 
-    The grid comes from :func:`chaos_grid`; with ``workers > 1`` the
-    cells fan out across a supervised process pool (``workers=None``
-    uses every core) via :func:`repro.sweep.fan_out` — a crashed or
-    hung pool worker is recovered without poisoning sibling cells.
-    Chaos results are never disk-cached, and per-run sub-seeding makes
-    the report identical whatever the execution order: the same seed
-    reproduces the same :meth:`ChaosReport.signature`.
-
-    With a ``journal`` (:class:`repro.journal.RunJournal`) every
-    finished run is checkpointed as it lands and an interrupted
-    campaign resumed with the same journal re-executes only the missing
-    cells — the rehydrated report is signature-identical to an
-    uninterrupted one. On failures a
-    :class:`~repro.errors.SweepError` is raised with the surviving
-    :class:`ChaosRunResult` objects attached as ``outcomes``.
-
-    ``should_abort`` (a cheap thread-safe callable) enables cooperative
-    cancellation between cells: once true the campaign stops and raises
-    :class:`~repro.errors.JobCancelled`; everything already journaled
-    stays resumable.
+    The grid comes from :func:`chaos_grid` and runs through
+    :func:`repro.sweep.run_campaign` (``workers=None`` uses every
+    core): journaling, resume, supervision and the failure contract are
+    the sweep's. Chaos results are never disk-cached, and per-run
+    sub-seeding makes the report identical whatever the execution order:
+    the same seed reproduces the same :meth:`ChaosReport.signature`,
+    and an interrupted campaign resumed with the same ``journal``
+    re-executes only the missing cells. At every worker count a failed
+    cell raises :class:`~repro.errors.SweepError` carrying the surviving
+    :class:`ChaosRunResult` objects as ``outcomes``, and ``should_abort``
+    turning true raises :class:`~repro.errors.JobCancelled`.
+    ``progress(done, total, label, error)`` fires as each cell lands.
     """
-    cells = chaos_grid(
-        workloads, kinds, seed=seed, ops_scale=ops_scale,
-        per_kind=per_kind, quick=quick,
+    from repro.sweep import CHAOS, run_campaign  # local: avoids cycle
+
+    cells = chaos_grid(workloads, kinds, seed=seed, ops_scale=ops_scale, quick=quick)
+    outcomes, _mode = run_campaign(
+        CHAOS,
+        cells,
+        workers=workers,
+        policy=policy,
+        journal=journal,
+        should_abort=should_abort,
+        progress=progress,
     )
-    if config is not None:
-        for cell in cells:
-            cell["config"] = config
-    report = ChaosReport(seed=seed)
-
-    runs: List[Optional[ChaosRunResult]] = [None] * len(cells)
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        entry = journal.completed(chaos_cell_key(cell)) if journal else None
-        if entry is not None and entry.get("result") is not None:
-            runs[i] = chaos_result_from_dict(entry["result"])
-        else:
-            pending.append(i)
-
-    def record(task_index: int, ok: bool, error, wall: float, result) -> None:
-        if journal is None:
-            return
-        cell = cells[pending[task_index]]
-        journal.record(
-            chaos_cell_key(cell),
-            {
-                "label": _chaos_cell_label(cell),
-                "ok": ok,
-                "error": error,
-                "wall_seconds": round(wall, 6),
-                "cacheable": False,
-                "result": chaos_result_to_dict(result) if ok else None,
-            },
-        )
-
-    if workers is not None and workers <= 1:
-        import time as _time
-
-        from repro.errors import JobCancelled
-
-        for task_index, i in enumerate(pending):
-            if should_abort is not None and should_abort():
-                raise JobCancelled("chaos campaign aborted between cells")
-            start = _time.perf_counter()
-            result = _chaos_cell(cells[i])
-            runs[i] = result
-            record(task_index, True, None, _time.perf_counter() - start, result)
-        report.runs.extend(runs)  # type: ignore[arg-type]
-        return report
-    from repro.sweep import SweepError, fan_out  # local: avoids cycle
-
-    def on_outcome(task_index: int, out) -> None:
-        record(task_index, out.ok, out.error, out.wall_seconds, out.value)
-
-    def dispatch():
-        return fan_out(
-            _chaos_cell,
-            [cells[i] for i in pending],
-            workers=workers,
-            label_of=_chaos_cell_label,
-            policy=policy,
-            describe_task=_describe_chaos_task,
-            on_outcome=on_outcome,
-            should_abort=should_abort,
-        )
-
-    if pending:
-        if journal is not None:
-            with journal.signal_guard():
-                outcomes, _mode = dispatch()
-        else:
-            outcomes, _mode = dispatch()
-        for i, out in zip(pending, outcomes):
-            runs[i] = out.value
-        if should_abort is not None and should_abort():
-            from repro.errors import JobCancelled
-
-            raise JobCancelled("chaos campaign aborted mid-sweep")
-        failures = [out.error for out in outcomes if out.error]
-        if failures:
-            raise SweepError(
-                failures, outcomes=[run for run in runs if run is not None]
-            )
-    report.runs.extend(runs)  # type: ignore[arg-type]
-    return report
+    return ChaosReport(seed=seed, runs=[out.value for out in outcomes])

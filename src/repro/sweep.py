@@ -20,9 +20,13 @@ function of its parameters. This module runs such grids across cores:
   indexes), each worker is pinned to the parent's resolved cache dir,
   and a per-worker registry reuses constructed ``System`` instances
   between cells via in-place reset instead of rebuilding them.
-* :func:`fan_out` — the generic ordered fan-out primitive
-  (``run_chaos_campaign`` uses it for :class:`ChaosRunResult` cells,
-  which bypass the disk cache).
+* :class:`Campaign` / :func:`run_campaign` — the one campaign driver.
+  A campaign says how its cells run, key, label, replay and journal;
+  the driver does resume, dispatch through :func:`fan_out` (the
+  generic ordered fan-out primitive) at every worker count,
+  journaling, progress, and the failure contract. Figure sweeps,
+  chaos (:data:`CHAOS`) and recovery (:data:`RECOVERY`) campaigns all
+  run through it.
 * **Checkpoint/resume** — pass a :class:`repro.journal.RunJournal` and
   every completed cell is persisted as it lands; a later run with the
   same journal rehydrates those outcomes instead of recomputing them
@@ -47,8 +51,11 @@ file-existence probe, which races against concurrent publishers.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import functools
 import json
+import operator
 import os
 import pickle
 import threading
@@ -67,13 +74,15 @@ from typing import (
     Union,
 )
 
-from repro.errors import SweepError
+from repro import recovery as _recovery
+from repro.errors import JobCancelled, SweepError
 from repro.experiments import common
 from repro.faults.plan import derive_seed
 from repro.journal import RunJournal
 
 if TYPE_CHECKING:  # repro.fleet imports this module; no runtime cycle
     from repro.fleet import FleetCoordinator
+from repro.sim import runner as _runner
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import RunResult, clear_warm_registry, run_single
 from repro.supervisor import (
@@ -86,27 +95,34 @@ from repro.supervisor import (
 __all__ = [
     "BENCH_SCHEMA",
     "Cell",
+    "CAMPAIGNS",
+    "CHAOS",
+    "Campaign",
     "CellOutcome",
     "GRID_NAMES",
+    "RECOVERY",
     "SupervisorPolicy",
     "SupervisorStats",
     "SweepReport",
     "dedup_cells",
     "fan_out",
     "grid_cells",
+    "journal_entry",
     "parallel_measurement_validity",
     "prewarm",
     "resolve_workers",
+    "run_campaign",
     "run_sweep",
+    "sweep_campaign",
     "verify_identical",
     "write_bench",
 ]
 
 BENCH_SCHEMA = "repro-sweep-bench-v3"
 
-#: Grids :func:`grid_cells` knows how to build (``chaos`` is separate —
-#: see :func:`repro.sim.runner.run_chaos_campaign`, which takes
-#: ``workers`` directly).
+#: Grids :func:`grid_cells` knows how to build (chaos and recovery grids
+#: come from :func:`repro.sim.runner.chaos_grid` and
+#: :func:`repro.recovery.recovery_grid`).
 GRID_NAMES = ("fig4", "fig5", "fig6", "fig7", "workloads")
 
 ProgressFn = Callable[[int, int, str, Optional[str]], None]
@@ -370,18 +386,19 @@ def resolve_workers(workers: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: The sweep's shared task context: ``(cells, use_disk, fresh)``. Cells
-#: are pickled *once* per sweep into the worker initializer and installed
-#: here, so each task crossing the pool boundary afterwards is a bare
-#: int index instead of a re-pickled Cell per submission. The parent
-#: installs the same context around the supervisor's in-process serial
-#: path (which never runs pool initializers).
-_grid_context: Optional[Tuple[Tuple[Cell, ...], bool, bool]] = None
+#: The shared task context ``(cells, run)``: a campaign's pending cells
+#: and its cell function are pickled *once* per dispatch into the worker
+#: initializer and installed here, so each task crossing the pool
+#: boundary afterwards is a bare int index instead of a re-pickled cell
+#: per submission. The parent installs the same context around the
+#: supervisor's in-process serial path (which never runs pool
+#: initializers).
+_grid_context: Optional[Tuple[Any, ...]] = None
 
 
-def _install_grid(cells: Sequence[Cell], use_disk: bool, fresh: bool) -> None:
+def _install_grid(context: Tuple[Any, ...]) -> None:
     global _grid_context
-    _grid_context = (tuple(cells), use_disk, fresh)
+    _grid_context = context
 
 
 def _clear_grid() -> None:
@@ -410,8 +427,9 @@ def _worker_init(
     * **Warm registry** — ``warm=True`` turns on per-worker ``System``
       reuse (:mod:`repro.sim.runner`); any instances inherited via
       ``fork`` are dropped so the worker warms up from its own runs.
-    * **Task context** — ``grid_blob`` (the sweep's cells, pickled once
-      in the parent) is installed for :func:`_run_cell`'s int tasks.
+    * **Task context** — ``grid_blob`` (the ``(cells, run)`` context,
+      pickled once in the parent) is installed for :func:`_run_cell`'s
+      int tasks.
 
     Pool rebuilds after a worker crash re-run this initializer in every
     replacement worker, so the context and warm state re-establish
@@ -424,33 +442,35 @@ def _worker_init(
     common._memory_cache.clear()
     clear_warm_registry()
     if grid_blob is not None:
-        _install_grid(*pickle.loads(grid_blob))
+        _install_grid(pickle.loads(grid_blob))
     else:
         _clear_grid()
 
 
-def _run_cell(task: Union[int, Tuple[Cell, bool, bool]]) -> Tuple[RunResult, bool]:
-    """Execute one cell; returns ``(result, cache_hit)``.
+def _run_cell(task: Union[int, Tuple[Cell, bool, bool]]) -> Any:
+    """Execute one task: an int index into the installed ``(cells, run)``
+    context, or a legacy ``(Cell, use_disk, fresh)`` sweep tuple."""
+    if isinstance(task, int):
+        if _grid_context is None:
+            raise RuntimeError(
+                "task is an index but no grid context is installed "
+                "in this process (worker initializer did not run?)"
+            )
+        cells, run = _grid_context
+        return run(cells[task])
+    return _run_sweep_cell(*task)
 
-    Tasks are normally int indexes into the installed grid context;
-    legacy ``(Cell, use_disk, fresh)`` tuples are still accepted (repro
-    bundles and direct callers use them).
+
+def _run_sweep_cell(
+    cell: Cell, use_disk: bool, fresh: bool
+) -> Tuple[RunResult, bool]:
+    """Execute one sweep cell; returns ``(result, cache_hit)``.
 
     The hit flag is the provenance fact reported by
     :func:`repro.experiments.common.cached_run_ex` — *not* a separate
     existence probe of the cache file, which races against concurrent
     workers publishing the same key and misreports either way.
     """
-    if isinstance(task, int):
-        if _grid_context is None:
-            raise RuntimeError(
-                "sweep task is an index but no grid context is installed "
-                "in this process (worker initializer did not run?)"
-            )
-        cells, use_disk, fresh = _grid_context
-        cell = cells[task]
-    else:
-        cell, use_disk, fresh = task
     if fresh or not cell.cacheable:
         result = run_single(
             cell.workload,
@@ -474,26 +494,6 @@ def _run_cell(task: Union[int, Tuple[Cell, bool, bool]]) -> Tuple[RunResult, boo
     return result, source != "computed"
 
 
-def _describe_cell_task(task: Any) -> Optional[Dict[str, Any]]:
-    """Repro-bundle recipe for a sweep task (``replay-cell`` consumes it).
-
-    Bundles always embed the full cell parameters — int tasks are
-    resolved through the installed grid context so a quarantined cell
-    stays replayable long after the sweep (and its context) is gone.
-    """
-    if isinstance(task, int) and _grid_context is not None:
-        cells = _grid_context[0]
-        if 0 <= task < len(cells):
-            return {"kind": "sweep", "cell": cells[task].to_dict()}
-    if (
-        isinstance(task, tuple)
-        and len(task) == 3
-        and isinstance(task[0], Cell)
-    ):
-        return {"kind": "sweep", "cell": task[0].to_dict()}
-    return None
-
-
 # ---------------------------------------------------------------------------
 # the fan-out core
 # ---------------------------------------------------------------------------
@@ -514,62 +514,41 @@ def fan_out(
     fn: Callable,
     tasks: Sequence[Any],
     workers: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
     label_of: Optional[Callable[[Any], str]] = None,
     policy: Optional[SupervisorPolicy] = None,
     stats: Optional[SupervisorStats] = None,
     describe_task: Optional[Callable[[Any], Optional[Dict[str, Any]]]] = None,
     on_outcome: Optional[Callable[[int, TaskOutcome], None]] = None,
-    grid: Optional[Tuple[Sequence[Cell], bool, bool]] = None,
+    grid: Optional[Tuple[Sequence[Any], Callable[[Any], Any]]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> Tuple[List[TaskOutcome], str]:
     """Run ``fn`` over ``tasks`` on a supervised process pool, in order.
 
     ``fn`` and every task must be picklable. Returns ``(outcomes,
-    mode)`` where each outcome is a
-    :class:`~repro.supervisor.TaskOutcome` in task order and ``mode``
-    is ``"parallel"`` or ``"serial"`` (the serial path is taken
-    in-process for ``workers <= 1`` or a single task — no pool
-    overhead, bit-identical results).
+    mode)``: one :class:`~repro.supervisor.TaskOutcome` per task in task
+    order, and ``"parallel"`` or ``"serial"`` (in-process for
+    ``workers <= 1`` or a single task, with the same retry and poison
+    policy; see :mod:`repro.supervisor`). Workers are pinned to the
+    parent's *resolved* cache dir.
 
-    Workers are always pinned to the parent's *resolved* cache dir (the
-    initializer receives it explicitly — a worker never falls back to
-    its own environment or working directory).
-
-    ``grid=(cells, use_disk, fresh)`` ships the sweep's cell list to
-    the workers **once**, pickled into the pool initializer, and turns
-    on per-worker warm ``System`` reuse; ``fn``'s tasks can then be
-    bare int indexes into that list. On the in-process serial path the
-    same context is installed directly (pool initializers never run
-    there) — but warm reuse stays *off* in the parent, so a serial
-    reference run (``verify_identical``) is always an independent
-    fresh-construction build.
-
-    Supervision (see :mod:`repro.supervisor`): a dead worker fails only
-    the cells it was actually running — with the real exception type in
-    the outcome — and the pool is rebuilt for the rest; transient
-    failures retry with bounded backoff; repeating deterministic
-    failures are quarantined as poison with a replayable repro bundle
-    under ``<cache-dir>/quarantine/``. ``SupervisorPolicy(retries=0)``
-    disables retries but keeps the crash containment. Replacement
-    workers re-run the initializer, so the shipped grid and warm
-    registry re-establish themselves lazily after every rebuild.
-
-    ``progress(done, total, label, error)`` fires as each cell's fate
-    is sealed, in completion order.
+    ``grid=(cells, run)`` ships a campaign's cells and cell function to
+    the workers **once**, pickled into the pool initializer (rebuilt
+    pools re-run it), and turns on per-worker warm ``System`` reuse;
+    with ``fn=_run_cell`` the tasks are then bare int indexes into
+    ``cells``. The serial path installs the same context in-process but
+    never warms, so a serial reference run (``verify_identical``) is
+    always an independent fresh-construction build.
     """
     workers = resolve_workers(workers)
     cache_dir = str(Path(common._cache_dir()).resolve())
     grid_blob: Optional[bytes] = None
     serial_setup = serial_teardown = None
     if grid is not None:
-        cells, use_disk, fresh = grid
-        grid_blob = pickle.dumps(
-            (tuple(cells), use_disk, fresh), protocol=pickle.HIGHEST_PROTOCOL
-        )
+        context = (tuple(grid[0]), grid[1])
+        grid_blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
 
         def serial_setup() -> None:
-            _install_grid(cells, use_disk, fresh)
+            _install_grid(context)
 
         serial_teardown = _clear_grid
     return supervised_map(
@@ -578,7 +557,6 @@ def fan_out(
         workers,
         policy=_default_policy(policy),
         stats=stats,
-        progress=progress,
         label_of=label_of,
         describe_task=describe_task,
         on_outcome=on_outcome,
@@ -587,6 +565,271 @@ def fan_out(
         serial_setup=serial_setup,
         serial_teardown=serial_teardown,
         should_abort=should_abort,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the campaign driver
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """How one kind of cell grid runs, journals, resumes and replays.
+
+    ``run`` executes one cell and must be picklable (a module-level
+    function or a :func:`functools.partial` of one): it crosses into
+    pool workers. ``spec`` is the cell's JSON recipe; poison bundles
+    embed it and ``replay-cell`` hands it back to ``run``. ``key`` is
+    the cell's journal key. ``to_dict(cell, value)`` is the journaled
+    payload of a finished cell, or ``None`` when the value must not be
+    persisted (that cell then re-executes on every resume);
+    ``from_dict`` turns a payload back into the value ``run`` returned.
+    """
+
+    kind: str
+    run: Callable[[Any], Any]
+    key: Callable[[Any], str]
+    label: Callable[[Any], str]
+    spec: Callable[[Any], Dict[str, Any]]
+    to_dict: Callable[[Any, Any], Optional[Dict[str, Any]]]
+    from_dict: Callable[[Dict[str, Any]], Any]
+
+
+#: ``remote(pending, land)`` places some pending cell indexes elsewhere
+#: (a fleet), calling ``land(index, journal_entry)`` as each one lands,
+#: and returns their outcomes; the rest run on the local pool.
+RemoteFn = Callable[
+    [List[int], Callable[[int, Dict[str, Any]], None]], Dict[int, TaskOutcome]
+]
+
+
+def journal_entry(
+    label: str, out: TaskOutcome, result: Optional[Dict[str, Any]]
+) -> Dict[str, Any]:
+    """The run-journal record of one finished cell.
+
+    The same builder serves the local pool and fleet workers, so a cell
+    journals identically wherever it ran; a resume reads ``ok`` and
+    ``result`` back.
+    """
+    return {
+        "label": label,
+        "ok": out.ok,
+        "error": out.error,
+        "error_kind": out.error_kind,
+        "wall_seconds": round(out.wall_seconds, 6),
+        "attempts": out.attempts,
+        "result": result,
+    }
+
+
+def run_campaign(
+    campaign: Campaign,
+    cells: Sequence[Any],
+    workers: Optional[int] = 1,
+    policy: Optional[SupervisorPolicy] = None,
+    journal: Optional[RunJournal] = None,
+    should_abort: Optional[Callable[[], bool]] = None,
+    progress: Optional[ProgressFn] = None,
+    *,
+    stats: Optional[SupervisorStats] = None,
+    remote: Optional[RemoteFn] = None,
+    partial: bool = False,
+) -> Tuple[List[TaskOutcome], str]:
+    """Run a campaign's cells: resume, dispatch, journal, fail — one path.
+
+    Returns ``(outcomes, mode)``, one :class:`TaskOutcome` per cell in
+    cell order (rehydrated ones flagged ``resumed``) and the local
+    dispatch mode (``"serial"`` when nothing ran locally).
+
+    * **Resume** — with a ``journal``, worker shards are merged first,
+      retry jitter is seeded from the run id (a resumed run replays the
+      same delays), and every cell whose key has a successful entry
+      with a payload is rehydrated through ``campaign.from_dict``
+      instead of recomputed.
+    * **Dispatch** — ``remote`` (the sweep's fleet pre-pass) may place
+      pending cells first; the rest go through :func:`fan_out` at
+      *every* worker count, so ``workers=1`` takes the supervisor's
+      in-process path with the same retries, poison quarantine and
+      journaling as a pool. SIGINT/SIGTERM unwind cleanly while a
+      journal is open.
+    * **Journal and progress** — each cell's :func:`journal_entry` is
+      recorded as it lands, and ``progress(done, total, label, error)``
+      counts resumed cells as already done.
+    * **Failure contract** — identical at every worker count: unless
+      ``partial``, an abort (``should_abort``) raises
+      :class:`~repro.errors.JobCancelled` and any failed cell raises
+      :class:`~repro.errors.SweepError` whose ``outcomes`` are the
+      surviving values in cell order. ``partial=True`` returns the
+      failures in the outcomes instead (the sweep's report does this).
+    """
+    stats = stats if stats is not None else SupervisorStats()
+    total = len(cells)
+    outcomes: List[Optional[TaskOutcome]] = [None] * total
+
+    if journal is not None:
+        # Fold in worker shards (no-op without any): cells a fleet
+        # worker completed while the coordinator was dead rehydrate
+        # below exactly like locally journaled ones.
+        try:
+            journal.merge_shards()
+        except OSError:  # shard dir unreadable — recompute instead
+            pass
+        if policy is None or (policy.jitter > 0 and policy.jitter_seed == 0):
+            policy = dataclasses.replace(
+                policy or SupervisorPolicy(),
+                jitter_seed=derive_seed(0, journal.run_id),
+            )
+
+    pending: List[int] = []
+    for i, cell in enumerate(cells):
+        entry = None
+        if journal is not None:
+            entry = journal.completed(campaign.key(cell))
+        if entry is not None and entry.get("result") is not None:
+            outcomes[i] = TaskOutcome(
+                campaign.from_dict(entry["result"]),
+                None,
+                float(entry.get("wall_seconds", 0.0)),
+                int(entry.get("attempts", 1)),
+                resumed=True,
+            )
+            stats.resumed_cells += 1
+        else:
+            pending.append(i)
+
+    done_lock = threading.Lock()
+    done = [total - len(pending)]
+
+    def land(i: int, entry: Dict[str, Any]) -> None:
+        # Remote cells land on the coordinator thread, hence the lock
+        # (journal.record is thread-safe on its own).
+        if journal is not None:
+            journal.record(campaign.key(cells[i]), entry)
+        with done_lock:
+            done[0] += 1
+            done_now = done[0]
+        if progress is not None:
+            progress(done_now, total, entry["label"], entry.get("error"))
+
+    if remote is not None and pending:
+        placed = remote(pending, land)
+        for i, out in placed.items():
+            outcomes[i] = out
+        pending = [i for i in pending if i not in placed]
+
+    mode = "serial"
+    if pending:
+        task_cells = [cells[i] for i in pending]
+
+        def on_outcome(task: int, out: TaskOutcome) -> None:
+            cell = task_cells[task]
+            result = campaign.to_dict(cell, out.value) if out.ok else None
+            land(pending[task], journal_entry(campaign.label(cell), out, result))
+
+        def describe_task(task: int) -> Dict[str, Any]:
+            return {"kind": campaign.kind, "cell": campaign.spec(task_cells[task])}
+
+        guard = (
+            journal.signal_guard()
+            if journal is not None
+            else contextlib.nullcontext()
+        )
+        with guard:
+            raw, mode = fan_out(
+                _run_cell,
+                list(range(len(task_cells))),
+                workers=workers,
+                label_of=lambda task: campaign.label(task_cells[task]),
+                policy=policy,
+                stats=stats,
+                describe_task=describe_task,
+                on_outcome=on_outcome,
+                grid=(task_cells, campaign.run),
+                should_abort=should_abort,
+            )
+        for i, out in zip(pending, raw):
+            outcomes[i] = out
+
+    final = [out for out in outcomes if out is not None]
+    assert len(final) == total
+    if not partial:
+        if should_abort is not None and should_abort():
+            raise JobCancelled(f"{campaign.kind} campaign aborted")
+        failures = [
+            f"{campaign.label(cell)}: {out.error}"
+            for cell, out in zip(cells, final)
+            if not out.ok
+        ]
+        if failures:
+            raise SweepError(
+                failures, outcomes=[out.value for out in final if out.ok]
+            )
+    return final, mode
+
+
+def _sweep_payload(cell: Cell, value: Tuple[RunResult, bool]) -> Optional[dict]:
+    # Trace payloads are deliberately not persisted, so trace cells
+    # never resume.
+    return common._result_to_dict(value[0]) if cell.cacheable else None
+
+
+def _sweep_value(payload: Dict[str, Any]) -> Tuple[RunResult, bool]:
+    return common._result_from_dict(payload), True  # a journal hit
+
+
+def sweep_campaign(use_disk: bool = True, fresh: bool = False) -> Campaign:
+    """The :class:`Campaign` of figure-grid :class:`Cell` sweeps; values
+    are ``(RunResult, cache_hit)``."""
+    return Campaign(
+        kind="sweep",
+        run=functools.partial(_run_sweep_cell, use_disk=use_disk, fresh=fresh),
+        key=Cell.journal_key,
+        label=operator.attrgetter("label"),
+        spec=Cell.to_dict,
+        to_dict=_sweep_payload,
+        from_dict=_sweep_value,
+    )
+
+
+CHAOS = Campaign(
+    kind="chaos",
+    run=_runner._chaos_cell,
+    key=_runner.chaos_cell_key,
+    label=_runner._chaos_cell_label,
+    spec=_runner.chaos_cell_spec,
+    to_dict=lambda _cell, run: _runner.chaos_result_to_dict(run),
+    from_dict=_runner.chaos_result_from_dict,
+)
+
+RECOVERY = Campaign(
+    kind="recovery",
+    run=_recovery._recovery_cell,
+    key=_recovery.recovery_cell_key,
+    label=_recovery._recovery_cell_label,
+    spec=_recovery.recovery_cell_spec,
+    to_dict=lambda _cell, run: _recovery.recovery_result_to_dict(run),
+    from_dict=_recovery.recovery_result_from_dict,
+)
+
+#: The campaigns a job or a poison bundle can name besides ``sweep``.
+CAMPAIGNS = {campaign.kind: campaign for campaign in (CHAOS, RECOVERY)}
+
+
+def _fleet_outcome(entry: Dict[str, Any]) -> TaskOutcome:
+    value = None
+    if entry.get("result") is not None:
+        value = (
+            common._result_from_dict(entry["result"]),
+            bool(entry.get("cache_hit")),
+        )
+    return TaskOutcome(
+        value,
+        entry.get("error"),
+        float(entry.get("wall_seconds", 0.0)),
+        int(entry.get("attempts", 1)),
+        entry.get("error_kind"),
     )
 
 
@@ -603,32 +846,21 @@ def run_sweep(
 ) -> SweepReport:
     """Run a grid of cells, in parallel when ``workers`` allows.
 
+    Execution, journaling, resume and cancellation are
+    :func:`run_campaign`'s, with ``partial=True``: failed and aborted
+    cells come back in the report rather than raising. Trace-recording
+    cells are never resumed (their payload is deliberately not
+    persisted).
+
     Worker results are adopted into the calling process's memory cache
     (and the shared disk cache), so a subsequent serial consumer — a
     figure driver's ``run()`` — sees exactly the worker-computed
     ``RunResult`` objects. ``fresh=True`` bypasses every cache layer
     (each cell recomputed from scratch); :func:`verify_identical` uses
-    it to build an independent serial reference.
-
-    Parallel workers build their interpreter/import/System state once:
-    each keeps a warm registry of constructed ``System`` instances
-    (keyed by config) and resets one in place between cells instead of
-    re-constructing — construction reuse, not result caching, and
+    it to build an independent serial reference. Parallel workers keep
+    a warm registry of constructed ``System`` instances and reset one in
+    place between cells — construction reuse, not result caching, and
     proven bit-identical to fresh builds by :func:`verify_identical`.
-    The parent process never warms, so serial runs (and the verify
-    reference) stay independent fresh-construction builds.
-
-    With a ``journal``, cells whose key already has a successful entry
-    are rehydrated from it (``resumed`` outcomes — zero recompute), and
-    every newly executed cell is journaled as it lands, making the run
-    resumable after any interruption. Trace-recording cells are never
-    resumed (their payload is deliberately not persisted).
-
-    ``should_abort`` enables cooperative cancellation (see
-    :func:`repro.supervisor.supervised_map`): once it turns true the
-    sweep stops dispatching, in-flight workers are killed, and the
-    unfinished cells come back as ``aborted`` failures — already
-    completed cells stay journaled, so a resume runs only the rest.
 
     ``fleet`` (a started :class:`repro.fleet.FleetCoordinator`) fans
     pending cells out to remote workers first; whatever the fleet could
@@ -636,180 +868,54 @@ def run_sweep(
     the local supervised pool, so a workerless fleet degrades to
     exactly the single-host behavior. Trace-recording (non-cacheable)
     cells always stay on the local pool: their payloads are not
-    serialized over the wire, and shipping them would silently drop
-    the trace from the report. Fleet results are journaled as
-    they arrive, and any journal shards left by workers of a previous
-    (killed) coordinator are merged before the resume scan, which is
-    what makes coordinator SIGKILL + restart a zero-re-execution event.
+    serialized over the wire. Fleet results are journaled as they
+    arrive, and journal shards left by workers of a previous (killed)
+    coordinator are merged before the resume scan, which is what makes
+    coordinator SIGKILL + restart a zero-re-execution event.
     """
     start = time.perf_counter()
     stats = SupervisorStats()
-    total = len(cells)
-    outcomes: List[Optional[CellOutcome]] = [None] * total
-
-    if journal is not None:
-        # Fold in worker shards (no-op without any): cells a fleet
-        # worker completed while the coordinator was dead rehydrate
-        # below exactly like locally journaled ones.
-        try:
-            journal.merge_shards()
-        except OSError:  # shard dir unreadable — recompute instead
-            pass
-        # Retry backoff jitter is seeded from the run id so a resumed
-        # run replays identical delays while runs decorrelate.
-        if policy is None or (policy.jitter > 0 and policy.jitter_seed == 0):
-            policy = dataclasses.replace(
-                policy or SupervisorPolicy(),
-                jitter_seed=derive_seed(0, journal.run_id),
-            )
-
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        entry = None
-        if journal is not None and cell.cacheable and not fresh:
-            entry = journal.completed(cell.journal_key())
-        if entry is not None and entry.get("result") is not None:
-            result = common._result_from_dict(entry["result"])
-            outcomes[i] = CellOutcome(
-                cell,
-                result,
-                None,
-                float(entry.get("wall_seconds", 0.0)),
-                cache_hit=True,
-                attempts=int(entry.get("attempts", 1)),
-                resumed=True,
-            )
-            stats.resumed_cells += 1
-            common.store_result(cell.key(), result, use_disk=use_disk)
-        else:
-            pending.append(i)
-
-    def on_outcome(task_index: int, out: TaskOutcome) -> None:
-        cell = cells[pending[task_index]]
-        if journal is None:
-            return
-        result_payload = None
-        cache_hit = False
-        if out.ok and out.value is not None and cell.cacheable:
-            result_payload = common._result_to_dict(out.value[0])
-            cache_hit = bool(out.value[1])
-        journal.record(
-            cell.journal_key(),
-            {
-                "label": cell.label,
-                "ok": out.ok,
-                "error": out.error,
-                "wall_seconds": round(out.wall_seconds, 6),
-                "attempts": out.attempts,
-                "cacheable": cell.cacheable,
-                "cache_hit": cache_hit,
-                "result": result_payload,
-            },
-        )
-
-    mode = "serial"
     fleet_stats: Optional[Dict[str, int]] = None
-    # Trace-recording (non-cacheable) cells never ride the fleet: their
-    # result payload is deliberately not serialized over the wire (or
-    # into journals), so a remote execution would come back as a silent
-    # ``result=None``. They always run on the local pool instead.
-    fleet_pending = (
-        [i for i in pending if cells[i].cacheable] if fleet is not None else []
-    )
-    if fleet is not None and fleet_pending:
-        local_only = [i for i in pending if not cells[i].cacheable]
-        fleet_cells = [cells[i] for i in fleet_pending]
-        done_lock = threading.Lock()
-        done_boxed = [total - len(pending)]
+    fleet_placed = False
 
-        def on_entry(local_index: int, entry: dict) -> None:
-            # Runs on the coordinator thread as each RESULT lands:
-            # journal immediately (record is thread-safe) so a killed
-            # run resumes from everything the fleet finished.
-            cell = fleet_cells[local_index]
-            if journal is not None:
-                journal.record(cell.journal_key(), entry)
-            with done_lock:
-                done_boxed[0] += 1
-                done_now = done_boxed[0]
-            if progress is not None:
-                progress(done_now, total, cell.label, entry.get("error"))
-
-        placed, leftovers = fleet.map_cells(
-            fleet_cells,
+    def via_fleet(
+        pending: List[int], land: Callable[[int, Dict[str, Any]], None]
+    ) -> Dict[int, TaskOutcome]:
+        nonlocal fleet_stats, fleet_placed
+        assert fleet is not None
+        indexes = [i for i in pending if cells[i].cacheable]
+        if not indexes:
+            return {}
+        placed, _leftovers = fleet.map_cells(
+            [cells[i] for i in indexes],
             use_disk=use_disk,
             fresh=fresh,
             run_id=journal.run_id if journal is not None else None,
-            journal_dir=(
-                journal.path.parent if journal is not None else None
-            ),
-            on_entry=on_entry,
+            journal_dir=journal.path.parent if journal is not None else None,
+            on_entry=lambda j, entry: land(indexes[j], entry),
             should_abort=should_abort,
         )
-        for local_index, entry in placed.items():
-            i = fleet_pending[local_index]
-            cell = cells[i]
-            result = None
-            if entry.get("result") is not None:
-                result = common._result_from_dict(entry["result"])
-            outcomes[i] = CellOutcome(
-                cell,
-                result,
-                entry.get("error"),
-                float(entry.get("wall_seconds", 0.0)),
-                cache_hit=bool(entry.get("cache_hit")),
-                attempts=int(entry.get("attempts", 1)),
-                error_kind=entry.get("error_kind"),
-            )
-            if result is not None and cell.cacheable and not fresh:
-                common.store_result(cell.key(), result, use_disk=use_disk)
-        if placed:
-            mode = "fleet"
         fleet_stats = fleet.stats_snapshot()
-        # Whatever the fleet could not place degrades to the local
-        # pool, alongside the trace cells that never left.
-        pending = sorted(local_only + [fleet_pending[j] for j in leftovers])
-    if pending:
-        # Tasks are bare indexes; the cells themselves are pickled once
-        # into the worker initializer (and installed around the serial
-        # path), not re-shipped per task.
-        task_cells = [cells[i] for i in pending]
-        tasks = list(range(len(task_cells)))
+        fleet_placed = bool(placed)
+        return {indexes[j]: _fleet_outcome(entry) for j, entry in placed.items()}
 
-        def label_of(task: Any) -> str:
-            return task_cells[task].label if isinstance(task, int) else str(task)
-
-        def describe_task(task: Any) -> Optional[Dict[str, Any]]:
-            if isinstance(task, int):
-                return {"kind": "sweep", "cell": task_cells[task].to_dict()}
-            return _describe_cell_task(task)
-
-        def guarded() -> Tuple[List[TaskOutcome], str]:
-            return fan_out(
-                _run_cell,
-                tasks,
-                workers=workers,
-                progress=progress,
-                label_of=label_of,
-                policy=policy,
-                stats=stats,
-                describe_task=describe_task,
-                on_outcome=on_outcome,
-                grid=(task_cells, use_disk, fresh),
-                should_abort=should_abort,
-            )
-
-        if journal is not None:
-            with journal.signal_guard():
-                raw, local_mode = guarded()
-        else:
-            raw, local_mode = guarded()
-        if mode != "fleet":  # fleet placements outrank the local tail
-            mode = local_mode
-        for i, out in zip(pending, raw):
-            cell = cells[i]
-            result, hit = (None, False) if out.value is None else out.value
-            outcomes[i] = CellOutcome(
+    raw, mode = run_campaign(
+        sweep_campaign(use_disk, fresh),
+        cells,
+        workers=workers,
+        policy=policy,
+        journal=journal,
+        should_abort=should_abort,
+        progress=progress,
+        stats=stats,
+        remote=via_fleet if fleet is not None else None,
+        partial=True,
+    )
+    outcomes: List[CellOutcome] = []
+    for cell, out in zip(cells, raw):
+        result, hit = (None, False) if out.value is None else out.value
+        outcomes.append(
+            CellOutcome(
                 cell,
                 result,
                 out.error,
@@ -817,16 +923,16 @@ def run_sweep(
                 hit,
                 attempts=out.attempts,
                 error_kind=out.error_kind,
+                resumed=out.resumed,
             )
-            if result is not None and cell.cacheable and not fresh:
-                common.store_result(cell.key(), result, use_disk=use_disk)
-    wall = time.perf_counter() - start
-    assert all(out is not None for out in outcomes)
+        )
+        if result is not None and cell.cacheable and not fresh:
+            common.store_result(cell.key(), result, use_disk=use_disk)
     return SweepReport(
-        outcomes=[out for out in outcomes if out is not None],
+        outcomes=outcomes,
         workers=resolve_workers(workers),
-        wall_seconds=wall,
-        mode=mode,
+        wall_seconds=time.perf_counter() - start,
+        mode="fleet" if fleet_placed else mode,
         stats=stats,
         fleet=fleet_stats,
     )

@@ -693,13 +693,11 @@ class TestFleetEndToEnd:
                 [
                     sys.executable,
                     "-c",
-                    "import time\n"
+                    "import asyncio\n"
                     "from repro.fleet import FleetWorker\n"
-                    "import repro.fleet.worker as fw\n"
-                    "original = fw.traced_call\n"
-                    "def slow(fn, task):\n"
-                    "    time.sleep(30)\n"  # never finishes: must be killed
-                    "    return original(fn, task)\n"
+                    "async def stall(self, index):\n"
+                    "    await asyncio.sleep(3600)\n"  # never finishes: must be killed
+                    "FleetWorker._compute = stall\n"
                     f"FleetWorker('127.0.0.1', {coord.port}, "
                     "worker_id='doomed', slots=1).run()",
                 ],

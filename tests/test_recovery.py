@@ -355,7 +355,7 @@ def test_parallel_campaign_signature_matches_serial():
 
 
 def test_campaign_resumes_from_journal_without_reexecution(monkeypatch):
-    from repro import recovery
+    from repro import sweep
     from repro.journal import RunJournal
 
     kwargs = dict(
@@ -365,13 +365,13 @@ def test_campaign_resumes_from_journal_without_reexecution(monkeypatch):
         first = run_recovery_campaign(workers=1, journal=journal, **kwargs)
 
     executed = []
-    real_cell = recovery._recovery_cell
+    real_cell = sweep._run_cell
 
-    def spying_cell(cell):
-        executed.append(cell)
-        return real_cell(cell)
+    def spying_cell(task):
+        executed.append(task)
+        return real_cell(task)
 
-    monkeypatch.setattr(recovery, "_recovery_cell", spying_cell)
+    monkeypatch.setattr(sweep, "_run_cell", spying_cell)
     with RunJournal.open("recovery-resume-test") as journal:
         resumed = run_recovery_campaign(workers=1, journal=journal, **kwargs)
     assert executed == []  # every cell rehydrated from the journal

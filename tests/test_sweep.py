@@ -645,13 +645,13 @@ class TestChaosJournal:
             first = runner.run_chaos_campaign(workers=1, journal=journal, **kwargs)
 
         executed = []
-        real_cell = runner._chaos_cell
+        real_cell = sweep._run_cell
 
-        def spying_cell(cell):
-            executed.append(cell)
-            return real_cell(cell)
+        def spying_cell(task):
+            executed.append(task)
+            return real_cell(task)
 
-        monkeypatch.setattr(runner, "_chaos_cell", spying_cell)
+        monkeypatch.setattr(sweep, "_run_cell", spying_cell)
         with RunJournal.open("chaos-resume") as journal:
             resumed = runner.run_chaos_campaign(
                 workers=1, journal=journal, **kwargs

@@ -55,12 +55,15 @@ CONNECT_TIMEOUT = 30.0
 CAMPAIGN_TIMEOUT = 300.0
 
 #: A worker that accepts leases but never completes one: its only exit
-#: from the campaign is the SIGKILL below, which is the point.
+#: from the campaign is the SIGKILL below, which is the point. It stalls
+#: inside its own event loop; patching the pool's task function instead
+#: would fail to pickle and drop the lease at once.
 WEDGED_WORKER = """
-import time
-import repro.fleet.worker as fw
+import asyncio
 from repro.fleet import FleetWorker
-fw.traced_call = lambda fn, task: time.sleep(3600)
+async def stall(self, index):
+    await asyncio.sleep(3600)
+FleetWorker._compute = stall
 FleetWorker('127.0.0.1', {port}, worker_id='doomed', slots=1).run()
 """
 
