@@ -373,7 +373,7 @@ def _replay_cell(
         file=sys.stderr,
     )
 
-    from repro.sweep import CAMPAIGNS, Cell, sweep_campaign
+    from repro.sweep import Cell, sweep_campaign
 
     if kind == "sweep":
         cell = Cell.from_dict(bundle["cell"])
@@ -388,16 +388,21 @@ def _replay_cell(
               file=sys.stderr)
         return 0
 
-    if kind in CAMPAIGNS:
-        campaign = CAMPAIGNS[kind]
+    from repro.recovery import recovery_campaign
+    from repro.sim.runner import chaos_campaign
+
+    campaigns = {"chaos": chaos_campaign, "recovery": recovery_campaign}
+    if kind in campaigns:
+        campaign = campaigns[kind]()
         cell = bundle["cell"]
         run = campaign.run(cell)
         if args.json:
             print(json.dumps(campaign.to_dict(cell, run), indent=2))
         else:
-            print(f"cell:           {campaign.label(cell)}")
-            print(f"seed:           {run.seed}")
-            print(f"ok:             {run.ok}")
+            for name, value in run.summary().items():
+                print(f"{name + ':':<16}{value}")
+            for failure in run.invariant_failures():
+                print(f"  FAIL {failure}")
         print("replay completed without error (failure did not reproduce)",
               file=sys.stderr)
         return 0 if run.ok else 1

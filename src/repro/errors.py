@@ -148,7 +148,7 @@ class SweepError(ReproError):
         summary = "; ".join(failures[:3])
         if len(failures) > 3:
             summary += f"; … and {len(failures) - 3} more"
-        super().__init__(f"{len(failures)} sweep cell(s) failed: {summary}")
+        super().__init__(f"{len(failures)} cell(s) failed: {summary}")
         self.failures = failures
         self.outcomes = list(outcomes) if outcomes is not None else None
 

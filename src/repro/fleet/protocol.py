@@ -168,10 +168,11 @@ def result(
 ) -> Dict[str, object]:
     """One finished cell: its journal entry, verbatim.
 
-    ``entry`` is the same payload ``run_sweep`` journals locally
-    (label/ok/error/wall_seconds/attempts/cacheable/cache_hit/result),
-    so the coordinator can append it to the authoritative journal
-    unchanged; ``seq`` is the worker-shard sequence for provenance.
+    ``entry`` is the :func:`repro.sweep.journal_entry` record a local
+    cell journals (label/ok/error/error_kind/wall_seconds/attempts/result)
+    plus the worker's ``cache_hit`` and ``worker`` id, so the coordinator
+    can append it to the authoritative journal unchanged; ``seq`` is the
+    worker-shard sequence for provenance.
     """
     return {
         "type": RESULT,

@@ -336,6 +336,16 @@ class RecoveryRunResult:
     def ok(self) -> bool:
         return not self.invariant_failures()
 
+    def summary(self) -> Dict[str, object]:
+        """The headline fields ``replay-cell`` prints for this run."""
+        return {
+            "workload": self.workload,
+            "scenario": self.scenario,
+            "seed": self.seed,
+            "outcome": self.outcome,
+            "ok": self.ok,
+        }
+
     def signature(self) -> Tuple:
         """Everything that must replay identically for the same seed."""
         return (
@@ -798,6 +808,22 @@ def recovery_result_from_dict(data: Dict[str, object]) -> RecoveryRunResult:
     return _run_record_from_dict(RecoveryRunResult, data)
 
 
+def recovery_campaign():
+    """The :class:`repro.sweep.Campaign` of recovery grid cells; its
+    values are :class:`RecoveryRunResult` objects."""
+    from repro.sweep import Campaign  # local: avoids cycle
+
+    return Campaign(
+        kind="recovery",
+        run=_recovery_cell,
+        key=recovery_cell_key,
+        label=_recovery_cell_label,
+        spec=recovery_cell_spec,
+        to_dict=lambda _cell, run: recovery_result_to_dict(run),
+        from_dict=recovery_result_from_dict,
+    )
+
+
 def run_recovery_campaign(
     workloads: Optional[Sequence[str]] = None,
     scenarios: Optional[Sequence[str]] = None,
@@ -821,13 +847,13 @@ def run_recovery_campaign(
     worker count. ``policy`` here is the *supervisor* policy (the
     recovery retry policy is a per-run :class:`RecoveryPolicy`).
     """
-    from repro.sweep import RECOVERY, run_campaign  # local: avoids cycle
+    from repro.sweep import run_campaign  # local: avoids cycle
 
     cells = recovery_grid(
         workloads, scenarios, seed=seed, ops_scale=ops_scale, quick=quick
     )
     outcomes, _mode = run_campaign(
-        RECOVERY,
+        recovery_campaign(),
         cells,
         workers=workers,
         policy=policy,

@@ -458,6 +458,16 @@ class ChaosRunResult:
     def ok(self) -> bool:
         return not self.invariant_failures()
 
+    def summary(self) -> Dict[str, object]:
+        """The headline fields ``replay-cell`` prints for this run."""
+        return {
+            "workload": self.workload,
+            "fault kinds": ", ".join(self.kinds),
+            "seed": self.seed,
+            "faults": self.result.faults_injected,
+            "ok": self.ok,
+        }
+
     def signature(self) -> Tuple:
         """Everything that must replay identically for the same seed."""
         return (
@@ -906,6 +916,22 @@ def chaos_result_from_dict(data: Dict[str, object]) -> ChaosRunResult:
     )
 
 
+def chaos_campaign():
+    """The :class:`repro.sweep.Campaign` of chaos grid cells; its values
+    are :class:`ChaosRunResult` objects."""
+    from repro.sweep import Campaign  # local: avoids cycle
+
+    return Campaign(
+        kind="chaos",
+        run=_chaos_cell,
+        key=chaos_cell_key,
+        label=_chaos_cell_label,
+        spec=chaos_cell_spec,
+        to_dict=lambda _cell, run: chaos_result_to_dict(run),
+        from_dict=chaos_result_from_dict,
+    )
+
+
 def run_chaos_campaign(
     workloads: Optional[Sequence[str]] = None,
     kinds: Optional[Sequence[FaultKind]] = None,
@@ -933,11 +959,11 @@ def run_chaos_campaign(
     turning true raises :class:`~repro.errors.JobCancelled`.
     ``progress(done, total, label, error)`` fires as each cell lands.
     """
-    from repro.sweep import CHAOS, run_campaign  # local: avoids cycle
+    from repro.sweep import run_campaign  # local: avoids cycle
 
     cells = chaos_grid(workloads, kinds, seed=seed, ops_scale=ops_scale, quick=quick)
     outcomes, _mode = run_campaign(
-        CHAOS,
+        chaos_campaign(),
         cells,
         workers=workers,
         policy=policy,

@@ -24,9 +24,11 @@ function of its parameters. This module runs such grids across cores:
   A campaign says how its cells run, key, label, replay and journal;
   the driver does resume, dispatch through :func:`fan_out` (the
   generic ordered fan-out primitive) at every worker count,
-  journaling, progress, and the failure contract. Figure sweeps,
-  chaos (:data:`CHAOS`) and recovery (:data:`RECOVERY`) campaigns all
-  run through it.
+  journaling, progress, and the failure contract. Figure sweeps
+  (:func:`sweep_campaign`), chaos
+  (:func:`repro.sim.runner.chaos_campaign`) and recovery
+  (:func:`repro.recovery.recovery_campaign`) campaigns all run through
+  it.
 * **Checkpoint/resume** — pass a :class:`repro.journal.RunJournal` and
   every completed cell is persisted as it lands; a later run with the
   same journal rehydrates those outcomes instead of recomputing them
@@ -74,15 +76,10 @@ from typing import (
     Union,
 )
 
-from repro import recovery as _recovery
 from repro.errors import JobCancelled, SweepError
 from repro.experiments import common
 from repro.faults.plan import derive_seed
 from repro.journal import RunJournal
-
-if TYPE_CHECKING:  # repro.fleet imports this module; no runtime cycle
-    from repro.fleet import FleetCoordinator
-from repro.sim import runner as _runner
 from repro.sim.config import GPUThreading, SafetyMode
 from repro.sim.runner import RunResult, clear_warm_registry, run_single
 from repro.supervisor import (
@@ -92,15 +89,15 @@ from repro.supervisor import (
     supervised_map,
 )
 
+if TYPE_CHECKING:  # repro.fleet imports this module; no runtime cycle
+    from repro.fleet import FleetCoordinator
+
 __all__ = [
     "BENCH_SCHEMA",
     "Cell",
-    "CAMPAIGNS",
-    "CHAOS",
     "Campaign",
     "CellOutcome",
     "GRID_NAMES",
-    "RECOVERY",
     "SupervisorPolicy",
     "SupervisorStats",
     "SweepReport",
@@ -386,24 +383,29 @@ def resolve_workers(workers: Optional[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: The shared task context ``(cells, run)``: a campaign's pending cells
-#: and its cell function are pickled *once* per dispatch into the worker
-#: initializer and installed here, so each task crossing the pool
-#: boundary afterwards is a bare int index instead of a re-pickled cell
-#: per submission. The parent installs the same context around the
-#: supervisor's in-process serial path (which never runs pool
-#: initializers).
-_grid_context: Optional[Tuple[Any, ...]] = None
+#: The shared task context ``(cells, run)``, held as ``.context``: a
+#: campaign's pending cells and its cell function are pickled *once* per
+#: dispatch into the worker initializer and installed here, so each task
+#: crossing the pool boundary afterwards is a bare int index instead of
+#: a re-pickled cell per submission. The parent installs the same
+#: context around the supervisor's in-process serial path (which never
+#: runs pool initializers). It is per thread: the job server runs
+#: several serial campaigns at once on its worker threads, and each
+#: must only ever see its own cells.
+_grid_local = threading.local()
 
 
 def _install_grid(context: Tuple[Any, ...]) -> None:
-    global _grid_context
-    _grid_context = context
+    _grid_local.context = context
 
 
 def _clear_grid() -> None:
-    global _grid_context
-    _grid_context = None
+    _grid_local.context = None
+
+
+def _grid_context() -> Optional[Tuple[Any, ...]]:
+    """The ``(cells, run)`` context installed in the calling thread."""
+    return getattr(_grid_local, "context", None)
 
 
 def _worker_init(
@@ -447,18 +449,16 @@ def _worker_init(
         _clear_grid()
 
 
-def _run_cell(task: Union[int, Tuple[Cell, bool, bool]]) -> Any:
-    """Execute one task: an int index into the installed ``(cells, run)``
-    context, or a legacy ``(Cell, use_disk, fresh)`` sweep tuple."""
-    if isinstance(task, int):
-        if _grid_context is None:
-            raise RuntimeError(
-                "task is an index but no grid context is installed "
-                "in this process (worker initializer did not run?)"
-            )
-        cells, run = _grid_context
-        return run(cells[task])
-    return _run_sweep_cell(*task)
+def _run_cell(task: int) -> Any:
+    """Execute one task: an index into the installed ``(cells, run)``."""
+    context = _grid_context()
+    if context is None:
+        raise RuntimeError(
+            "task is an index but no grid context is installed "
+            "in this thread (worker initializer did not run?)"
+        )
+    cells, run = context
+    return run(cells[task])
 
 
 def _run_sweep_cell(
@@ -535,8 +535,9 @@ def fan_out(
     the workers **once**, pickled into the pool initializer (rebuilt
     pools re-run it), and turns on per-worker warm ``System`` reuse;
     with ``fn=_run_cell`` the tasks are then bare int indexes into
-    ``cells``. The serial path installs the same context in-process but
-    never warms, so a serial reference run (``verify_identical``) is
+    ``cells``. The serial path installs the same context in the calling
+    thread (so concurrent serial campaigns never share it) but never
+    warms, so a serial reference run (``verify_identical``) is
     always an independent fresh-construction build.
     """
     workers = resolve_workers(workers)
@@ -791,30 +792,6 @@ def sweep_campaign(use_disk: bool = True, fresh: bool = False) -> Campaign:
         to_dict=_sweep_payload,
         from_dict=_sweep_value,
     )
-
-
-CHAOS = Campaign(
-    kind="chaos",
-    run=_runner._chaos_cell,
-    key=_runner.chaos_cell_key,
-    label=_runner._chaos_cell_label,
-    spec=_runner.chaos_cell_spec,
-    to_dict=lambda _cell, run: _runner.chaos_result_to_dict(run),
-    from_dict=_runner.chaos_result_from_dict,
-)
-
-RECOVERY = Campaign(
-    kind="recovery",
-    run=_recovery._recovery_cell,
-    key=_recovery.recovery_cell_key,
-    label=_recovery._recovery_cell_label,
-    spec=_recovery.recovery_cell_spec,
-    to_dict=lambda _cell, run: _recovery.recovery_result_to_dict(run),
-    from_dict=_recovery.recovery_result_from_dict,
-)
-
-#: The campaigns a job or a poison bundle can name besides ``sweep``.
-CAMPAIGNS = {campaign.kind: campaign for campaign in (CHAOS, RECOVERY)}
 
 
 def _fleet_outcome(entry: Dict[str, Any]) -> TaskOutcome:

@@ -29,12 +29,12 @@ from repro.errors import JobCancelled, SweepError
 from repro.experiments import common
 from repro.faults import FaultKind
 from repro.journal import RunJournal
-from repro.recovery import recovery_grid, run_recovery_campaign
+from repro.recovery import recovery_campaign, recovery_grid, run_recovery_campaign
 from repro.sim.config import GPUThreading, SafetyMode
-from repro.sim.runner import chaos_grid, run_chaos_campaign
+from repro.sim.runner import chaos_campaign, chaos_grid, run_chaos_campaign
 from repro.supervisor import SupervisorPolicy
 from repro import sweep
-from repro.sweep import CHAOS, RECOVERY, Cell, sweep_campaign
+from repro.sweep import Cell, sweep_campaign
 
 from tests.util import profile_settings
 
@@ -65,8 +65,8 @@ def _campaign_and_cells(kind: str):
     if kind == "sweep":
         return sweep_campaign(), _sweep_cells()
     if kind == "chaos":
-        return CHAOS, chaos_grid(WORKLOADS, [FaultKind.DROP], ops_scale=SCALE)
-    return RECOVERY, recovery_grid(WORKLOADS, ["storm"], ops_scale=SCALE)
+        return chaos_campaign(), chaos_grid(WORKLOADS, [FaultKind.DROP], ops_scale=SCALE)
+    return recovery_campaign(), recovery_grid(WORKLOADS, ["storm"], ops_scale=SCALE)
 
 
 def _run(kind, workers, journal, should_abort=None, progress=None):
@@ -207,21 +207,22 @@ def test_interrupted_then_resumed_matches_serial(kind, workers, k):
 
 
 def test_journal_keys_are_stable():
+    chaos = chaos_campaign()
     chaos_cells = chaos_grid(["bfs"], [FaultKind.DROP, FaultKind.HANG], ops_scale=0.1)
-    assert [CHAOS.key(c) for c in chaos_cells] == [
+    assert [chaos.key(c) for c in chaos_cells] == [
         "chaos-a8d54113c73c47c36a407c68",
         "chaos-f619a12857c7ebb70ed74fb7",
         "chaos-435e5aa22ebdbcd1508e40e3",
     ]
     (recovery_cell,) = recovery_grid(["bfs"], ["hang"], ops_scale=0.1)
-    assert RECOVERY.key(recovery_cell) == "recovery-75ea0234710ff46d9a858a12"
+    assert recovery_campaign().key(recovery_cell) == "recovery-75ea0234710ff46d9a858a12"
     cell = Cell("bfs", SafetyMode.BC_BCC, GPUThreading.MODERATELY, ops_scale=0.1)
     sweeps = sweep_campaign()
     assert sweeps.key(cell) == "c24c14c2f7866eb17f569bd2"
     traced = dataclasses.replace(cell, record_border=True)
     assert sweeps.key(traced) == "c24c14c2f7866eb17f569bd2#trace"
     # A bundle's recipe keys (and replays) exactly like the grid cell.
-    assert CHAOS.key(CHAOS.spec(chaos_cells[2])) == CHAOS.key(chaos_cells[2])
+    assert chaos.key(chaos.spec(chaos_cells[2])) == chaos.key(chaos_cells[2])
 
 
 # ---------------------------------------------------------------------------

@@ -410,3 +410,69 @@ def test_restart_recovers_queued_job_and_finishes_it(tmp_path):
 
     job_id = asyncio.run(first_incarnation())
     asyncio.run(second_incarnation(job_id))
+
+
+def test_concurrent_chaos_and_recovery_jobs_match_solo_runs(tmp_path, monkeypatch):
+    """Two campaign jobs on one in-process scheduler (``max_concurrent=2``,
+    default ``workers=1``) must not see each other's cells: each job's
+    journal and result equal those of the same job run alone."""
+    from repro.journal import RunJournal
+    from repro.service.jobs import Job, JobSpec
+    from repro.service.scheduler import execute_job
+
+    bodies = [
+        {
+            "tenant": "alice",
+            "kind": "chaos",
+            "params": {
+                "workloads": ["bfs", "nn"],
+                "fault_types": ["drop", "hang"],
+                "ops_scale": SCALE,
+            },
+        },
+        {
+            "tenant": "bob",
+            "kind": "recovery",
+            "params": {
+                "workloads": ["bfs", "nn"],
+                "scenarios": ["storm", "hang"],
+                "ops_scale": SCALE,
+            },
+        },
+    ]
+
+    def journal_records(run_id):
+        with RunJournal.open(run_id, create=False) as journal:
+            return {
+                key: (entry["label"], entry["ok"], entry["error"], entry["result"])
+                for key, entry in journal.entries().items()
+            }
+
+    solo = []
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "solo"))
+    for n, body in enumerate(bodies):
+        job = Job(
+            id=f"solo{n}", tenant=body["tenant"], spec=JobSpec.from_dict(body)
+        )
+        result = execute_job(job, lambda: False)
+        solo.append((result, journal_records(job.run_id)))
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "concurrent"))
+
+    async def go():
+        svc = await start_service(max_concurrent=2)
+        try:
+            ids = []
+            for body in bodies:
+                status, out = await http(svc.port, "POST", "/v1/jobs", body)
+                assert status == 201, out
+                ids.append(out["job"]["id"])
+            return [await wait_terminal(svc.port, job_id) for job_id in ids]
+        finally:
+            await svc.stop()
+
+    finals = asyncio.run(go())
+    for final, (solo_result, solo_records) in zip(finals, solo):
+        assert final["state"] == "done", final["error"]
+        assert final["result"] == solo_result
+        assert journal_records(final["run_id"]) == solo_records

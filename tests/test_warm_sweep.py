@@ -153,10 +153,9 @@ class TestCacheProvenance:
         assert source == "disk"
 
     def test_run_cell_hit_flag_is_provenance(self):
-        task = (_cell(), True, False)
-        _result, hit = sweep._run_cell(task)
+        _result, hit = sweep._run_sweep_cell(_cell(), True, False)
         assert hit is False
-        _result, hit = sweep._run_cell(task)
+        _result, hit = sweep._run_sweep_cell(_cell(), True, False)
         assert hit is True
 
     def test_two_worker_race_reports_true_computes(self, tmp_path):
@@ -279,9 +278,9 @@ class TestWorkerInitEnv:
         blob = pickle.dumps((cells, True, False))
         try:
             sweep._worker_init(None, blob, False)
-            assert sweep._grid_context == (cells, True, False)
+            assert sweep._grid_context() == (cells, True, False)
             sweep._worker_init(None, None, False)
-            assert sweep._grid_context is None
+            assert sweep._grid_context() is None
         finally:
             sweep._clear_grid()
 
